@@ -12,7 +12,8 @@ them:
   with r <= n.
 * ``eqn_check``: the polynomial identity equivalent to the D-recursion once
   the closed forms are substituted and everything is packed into generating
-  products.
+  products: the recursion's own step (``values.recursion_step``) fed the
+  closed-form families.
 * ``P_poly`` / ``hat_transform``: the alternating sum of shifted generating
   products whose vanishing (degree <= g, yet g + 1 roots after the
   reversal substitution t -> 1/t) proves eqn; P_poly(1) = t, so the
@@ -27,9 +28,11 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Union
 
+from . import kernels
 from .algebra import DensePolynomial, Rational, RationalLike, ZERO, _coerce
 from .errors import DomainError, VerificationError
-from .symmetric import elementary, gen_product
+from .symmetric import elementary
+from .values import recursion_step
 
 
 @dataclass(frozen=True)
@@ -101,28 +104,29 @@ def product_vanishing_sum(m_values, bound: int) -> Rational:
 def eqn_check(g: int) -> IdentityReport:
     """The generating-product identity equivalent to the D-recursion.
 
-    Left side: prod over n in 1..g of (1 + (2n-1)t).  Right side: the signed
-    binomial combination of split products the recursion produces, with odd
-    j in 1..2g-1 and even j in 2..2g-2 (k = 2g + 2).
+    Left side: the closed A_k = prod over n in 1..g of (1 + (2n-1)t), with
+    k = 2g + 2.  Right side: values.recursion_step for A_k, fed the closed
+    families A_k' = prod(1 + (2n-1)t) and a_k' = prod(1 + 2nt) over n in
+    1..(k'-2)/2: the signed binomial combination of split products, with
+    odd j in 1..2g-1 and even j in 2..2g-2.  Every split product has degree
+    at most g, so the step's degree cap g drops nothing.
     """
     if g < 2:
         raise DomainError("the identity needs g >= 2")
-    lhs = gen_product(range(1, 2 * g, 2))
-    rhs = DensePolynomial.zero()
-    for j in range(1, 2 * g, 2):  # odd j
-        block = gen_product(range(2, 2 * g - j, 2)) \
-            * gen_product(range(2, j, 2), sign=-1)
-        rhs = rhs + comb(2 * g - 1, j) * block
-    for j in range(2, 2 * g - 1, 2):  # even j
-        block = gen_product(range(1, 2 * g - j, 2)) \
-            * gen_product(range(1, j, 2), sign=-1)
-        rhs = rhs - comb(2 * g - 1, j) * block
+    k = 2 * g + 2
+    D = {m: _linear_product(range(1, m - 2, 2)) for m in range(2, k + 1, 2)}
+    d = {m: _linear_product(range(2, m - 1, 2)) for m in range(2, k, 2)}
     return IdentityReport(
         name="generating-product identity",
-        parameters=(("g", g), ("k", 2 * g + 2)),
-        computed=rhs,
-        expected=lhs,
+        parameters=(("g", g), ("k", k)),
+        computed=DensePolynomial(recursion_step("D", k, D, d, g)),
+        expected=DensePolynomial(D[k]),
     )
+
+
+def _linear_product(factors) -> list[int]:
+    # prod(1 + c*t) over integer factors c, as integer coefficients
+    return [c for c, _ in kernels.linear_product([(c, 1) for c in factors])]
 
 
 def P_poly(g: int) -> DensePolynomial:
@@ -146,12 +150,13 @@ def Q_poly(g: int) -> DensePolynomial:
 
 
 def _alternating_product_sum(order: int, top: int, g: int) -> DensePolynomial:
-    total = DensePolynomial.zero()
+    total = [0] * (g + 1)
     for j in range(order + 1):
-        factors = [top - j - 2 * (n - 1) for n in range(1, g + 1)]
-        block = comb(order, j) * gen_product(factors)
-        total = total + block if j % 2 == 0 else total - block
-    return total
+        scale = comb(order, j) if j % 2 == 0 else -comb(order, j)
+        block = _linear_product(top - j - 2 * (n - 1) for n in range(1, g + 1))
+        for i, c in enumerate(block):
+            total[i] += scale * c
+    return DensePolynomial(total)
 
 
 def hat_transform(p: DensePolynomial, g: int) -> DensePolynomial:

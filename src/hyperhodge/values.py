@@ -14,22 +14,39 @@ Closed forms:
     D(i, k) = (1/2)**(i+1) * e_i(1, 3, ..., k-3)
     d(i, k) = (1/2)**(i+1) * e_i(2, 4, ..., k-2)
 
-Recursions (from the vanishing localization integrals; see localization.py
-for the graph-sum derivation of the same formulas):
+The recursion works on each family as a generating polynomial in t with the
+powers of two scaled out:
 
-    D(i, k) = 2 * sum over odd j in 1..k-3 of
-                  C(k-3, j) * sum((-1)**l * d(i-l, k-1-j) * d(l, j+1))
-            - 2 * sum over even j in 2..k-4 of
-                  C(k-3, j) * sum((-1)**l * D(i-l, k-j) * D(l, j+2))
+    A_k(t) = sum over i of 2**(i+1) * D(i, k) * t**i
+    a_k(t) = sum over i of 2**(i+1) * d(i, k) * t**i
 
-    d(i, k) = 2 * sum over odd j in 1..k-3 of
-                  C(k-2, j) * sum((-1)**l * D(i-l, k-j+1) * D(l, j+1))
-            - 2 * sum over even j in 2..k-2 of
-                  C(k-2, j) * sum((-1)**l * d(i-l, k-j) * d(l, j))
+By the closed forms these are the integer products prod(1 + (2n-1)t) and
+prod(1 + 2nt) over n in 1..g.  The vanishing localization integrals (see
+localization.py for the graph-sum derivation) give
 
-with inner sums over l in 0..i.  Base values: D(1, 4) = 1/4 and
-D(0, k) = d(0, k) = 1/2; the k = 2 conventions (1/2 for i = 0, else 0) make
-the recursions' extreme summands match the degenerate graphs they encode.
+    A_k(t) = sum over odd j in 1..k-3 of
+                 C(k-3, j) * a_{k-1-j}(t) * a_{j+1}(-t)
+           - sum over even j in 2..k-4 of
+                 C(k-3, j) * A_{k-j}(t) * A_{j+2}(-t)
+
+    a_k(t) = sum over odd j in 1..k-3 of
+                 C(k-2, j) * A_{k+1-j}(t) * A_{j+1}(-t)
+           - sum over even j in 2..k-2 of
+                 C(k-2, j) * a_{k-j}(t) * a_j(-t)
+
+The coefficient of t**i in V(t) * W(-t) is the lambda-class splitting sum
+sum((-1)**l * V_{i-l} * W_l), and the recursion's factor 2 cancels the 1/2
+the scaling leaves on each product, so the step needs no denominators.
+``recursion_step`` is that one step; ``identities.eqn_check`` feeds it the
+closed-form families.
+
+Base values: D(1, 4) = 1/4, D(0, k) = d(0, k) = 1/2, and zero for i > g; the
+k = 2 conventions (1/2 for i = 0, else 0) give A_2 = a_2 = 1 and make the
+recursions' extreme summands match the degenerate graphs they encode.  The
+families are built bottom-up in k, A_k before a_k (which reads it), and
+truncated at the highest degree the caller asks for.  Each coefficient is
+first offered to ``base_value``; the recursion fills in only the rest.
+The recursion never reads the closed forms.
 """
 
 from __future__ import annotations
@@ -37,10 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Optional
 
-from .algebra import HALF, Rational, ZERO
+from . import kernels
+from .algebra import HALF, Rational, ZERO, as_pairs
 from .errors import DomainError, VerificationError
 from .symmetric import elementary
 
@@ -74,15 +91,45 @@ class HodgeValueKey:
 
 
 class MemoTable:
-    """Write-once map from HodgeValueKey to Rational.
+    """Write-once map from HodgeValueKey to Rational, and the families behind it.
 
     Concurrent duplicate computation of a key is harmless (both writers hold
     the identical value), but overwriting a stored key with a different value
-    is always a bug and raises.
+    is always a bug and raises.  The scaled families the recursion built are
+    kept too, so later queries share them instead of rebuilding.
     """
 
     def __init__(self):
         self._values: dict[HodgeValueKey, Rational] = {}
+        self._families: tuple[int, dict, dict] = (-1, {}, {})
+
+    def families(self, cap: int, k_max: int) -> tuple[dict, dict]:
+        """The scaled D and d families for every even k <= k_max.
+
+        The family at k holds its coefficients 0..min(cap, g), built
+        bottom-up in k; each is first offered to ``base_value`` and the
+        recursion step fills in the rest.  Held families are extended in k
+        when their degree suffices and rebuilt at cap when it does not.
+        Growth happens on copies that are published whole, so a concurrent
+        reader never sees a half-built k.
+        """
+        held, D, d = self._families
+        if held < cap:
+            held, D, d = cap, {}, {}
+        if max(D, default=0) < k_max:
+            D, d = dict(D), dict(d)
+            for k in range(max(D, default=0) + 2, k_max + 1, 2):
+                degree = min(held, (k - 2) // 2)
+                for kind, family in (("D", D), ("d", d)):  # a_k reads A_k
+                    coeffs = [_scaled_base(kind, i, k)
+                              for i in range(degree + 1)]
+                    if None in coeffs:
+                        step = recursion_step(kind, k, D, d, degree)
+                        coeffs = [s if c is None else c
+                                  for c, s in zip(coeffs, step)]
+                    family[k] = coeffs
+            self._families = (held, D, d)
+        return D, d
 
     def get(self, key: HodgeValueKey) -> Optional[Rational]:
         return self._values.get(key)
@@ -146,79 +193,68 @@ def base_value(key: HodgeValueKey) -> Optional[Rational]:
     return None
 
 
+def recursion_step(kind: str, k: int, D, d, degree: int) -> list:
+    """Coefficients 0..degree of the scaled family ``kind`` at k.
+
+    ``D`` and ``d`` map each even k' to the scaled family at k' (A_k' and
+    a_k' in the module docstring) as a list of int or Rational
+    coefficients, possibly truncated; the step reads d below k and D up to
+    k (k itself only for kind 'd').  Every product goes through
+    kernels.poly_mul.
+    """
+    top = k - 3 if kind == "D" else k - 2
+    total = [0] * (degree + 1)
+    binomial = 1
+    for j in range(1, top + 1):
+        binomial = binomial * (top + 1 - j) // j  # C(top, j)
+        if kind == "D":
+            v, w = (d[k - 1 - j], d[j + 1]) if j % 2 else (D[k - j], D[j + 2])
+        else:
+            v, w = (D[k + 1 - j], D[j + 1]) if j % 2 else (d[k - j], d[j])
+        scale = binomial if j % 2 else -binomial
+        w_of_minus_t = [-c if ell % 2 else c
+                        for ell, c in enumerate(w[:degree + 1])]
+        product = kernels.poly_mul(as_pairs(v[:degree + 1]),
+                                   as_pairs(w_of_minus_t))
+        for i, (num, den) in enumerate(product[:degree + 1]):
+            total[i] += scale * (num if den == 1 else Fraction(num, den))
+    return total
+
+
+def _scaled_base(kind: str, i: int, k: int) -> Optional[Rational]:
+    value = base_value(HodgeValueKey(kind, i, k))
+    return None if value is None else value * 2 ** (i + 1)
+
+
+def _unscale(coefficient, i: int) -> Rational:
+    return Fraction(coefficient, 2 ** (i + 1))
+
+
 def recursive_D(i: int, k: int, memo: Optional[MemoTable] = None) -> Rational:
     """D(i, k) via the recursion, through base values and the memo table."""
     _check_even_k(k, 2)
-    if memo is None:
-        memo = MemoTable()
-    return _resolve(HodgeValueKey("D", i, k), memo)
+    return _recursive(HodgeValueKey("D", i, k), memo)
 
 
 def recursive_d(i: int, k: int, memo: Optional[MemoTable] = None) -> Rational:
     """d(i, k) via the recursion, through base values and the memo table."""
     _check_even_k(k, 2)
-    if memo is None:
-        memo = MemoTable()
-    return _resolve(HodgeValueKey("d", i, k), memo)
+    return _recursive(HodgeValueKey("d", i, k), memo)
 
 
-def _resolve(key: HodgeValueKey, memo: MemoTable) -> Rational:
+def _recursive(key: HodgeValueKey, memo: Optional[MemoTable]) -> Rational:
     base = base_value(key)
     if base is not None:
         return base
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if key.kind == "D":
-        if key.k < 6:
-            raise DomainError(f"no recursion applies to {key}")
-        value = _recursion_D(key.i, key.k, memo)
-    else:
-        if key.k < 4:
-            raise DomainError(f"no recursion applies to {key}")
-        value = _recursion_d(key.i, key.k, memo)
-    memo.set(key, value)
+    if memo is None:
+        memo = MemoTable()
+    value = memo.get(key)
+    if value is None:
+        D, d = memo.families(key.i, key.k)
+        family = D if key.kind == "D" else d
+        value = _unscale(family[key.k][key.i], key.i)
+        memo.set(key, value)
     return value
-
-
-def _signed_split(kind1: str, k1: int, kind2: str, k2: int, i: int,
-                  memo: MemoTable) -> Rational:
-    # sum((-1)**l * V(i-l, k1) * V(l, k2)), the lambda-class splitting sum
-    total = ZERO
-    sign = 1
-    for ell in range(i + 1):
-        a = _resolve(HodgeValueKey(kind1, i - ell, k1), memo)
-        if a:
-            b = _resolve(HodgeValueKey(kind2, ell, k2), memo)
-            if b:
-                term = a * b
-                total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
-
-
-def _recursion_D(i: int, k: int, memo: MemoTable) -> Rational:
-    odd_part = ZERO
-    for j in range(1, k - 2, 2):
-        odd_part += comb(k - 3, j) * _signed_split("d", k - 1 - j, "d", j + 1,
-                                                   i, memo)
-    even_part = ZERO
-    for j in range(2, k - 3, 2):
-        even_part += comb(k - 3, j) * _signed_split("D", k - j, "D", j + 2,
-                                                    i, memo)
-    return 2 * odd_part - 2 * even_part
-
-
-def _recursion_d(i: int, k: int, memo: MemoTable) -> Rational:
-    odd_part = ZERO
-    for j in range(1, k - 2, 2):
-        odd_part += comb(k - 2, j) * _signed_split("D", k - j + 1, "D", j + 1,
-                                                   i, memo)
-    even_part = ZERO
-    for j in range(2, k - 1, 2):
-        even_part += comb(k - 2, j) * _signed_split("d", k - j, "d", j,
-                                                    i, memo)
-    return 2 * odd_part - 2 * even_part
 
 
 def closed_value(key: HodgeValueKey) -> Rational:
@@ -233,20 +269,21 @@ def closed_value(key: HodgeValueKey) -> Rational:
 def table(max_k: int) -> list[tuple[HodgeValueKey, Rational]]:
     """Every D and d value for 4 <= k <= max_k, cross-checked both routes.
 
-    Each value is computed by the closed form and by the recursion (bottom-up
-    in k, so the memo table is filled in dependency order); a mismatch raises
-    VerificationError naming the key and both values.  Rows come back sorted
-    by (kind, k, i).
+    The recursion builds the scaled integer families A_k and a_k once,
+    bottom-up in k through max_k and to the top degree (max_k - 2) / 2, with
+    the one ``recursion_step`` per family; each coefficient is then checked
+    against the closed form, and a mismatch raises VerificationError naming
+    the key and both values.  Rows come back sorted by (kind, k, i).
     """
     _check_even_k(max_k, 4)
-    memo = MemoTable()
+    D, d = MemoTable().families((max_k - 2) // 2, max_k)
     rows: list[tuple[HodgeValueKey, Rational]] = []
     for k in range(4, max_k + 1, 2):
-        for kind in ("D", "d"):  # D first: d(*, k) depends on D(*, k)
-            for i in range((k - 2) // 2 + 1):
+        for kind, family in (("D", D), ("d", d)):
+            for i, scaled in enumerate(family[k]):
                 key = HodgeValueKey(kind, i, k)
                 closed = closed_value(key)
-                recursive = _resolve(key, memo)
+                recursive = _unscale(scaled, i)
                 if closed != recursive:
                     raise VerificationError(
                         f"closed/recursive mismatch for {key}: "

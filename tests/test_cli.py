@@ -1,6 +1,7 @@
 """Command-line contract: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -32,6 +33,16 @@ def run_subprocess(*args):
 
 # ---------------------------------------------------------------------------
 # table emission
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "263a7c2e4b325ebb1bf647bc63e4f8c769da15fbe6a3ea0f4d24ec2327326c1a"),
+    ("json", "c1f48240130da3f95ed9abeedd41c76abc2a530d83349436ee8115aee688a03d"),
+])
+def test_table_bytes_are_pinned(fmt, digest):
+    code, out = run_cli("table", "--max-k", "40", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_csv_contains_pinned_row():

@@ -1,13 +1,17 @@
 """Closed forms, recursions and the cross-checked table."""
 
+import sys
+import threading
+import time
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperhodge import values
 from hyperhodge.errors import DomainError, VerificationError
 from hyperhodge.values import (FAULT_INJECTION, HodgeValueKey, MemoTable,
                                base_value, closed_D, closed_d, recursive_D,
@@ -151,6 +155,53 @@ def test_memo_warm_equals_cold():
     assert recursive_D(4, 16) == first
 
 
+def test_warm_memo_answers_without_rebuilding(monkeypatch):
+    memo = MemoTable()
+    first = recursive_d(3, 30, memo)
+    calls = []
+
+    def counting_base_value(key):
+        calls.append(key)
+        return base_value(key)
+
+    monkeypatch.setattr(values, "base_value", counting_base_value)
+    assert recursive_d(3, 30, memo) == first  # the stored value
+    assert recursive_D(2, 24, memo) == closed_D(2, 24)  # the held families
+    # each query looks up only its own key's base value
+    assert calls == [HodgeValueKey("d", 3, 30), HodgeValueKey("D", 2, 24)]
+
+
+def test_memo_shared_between_threads():
+    memo = MemoTable()
+    queries = [(kind, i, k) for k in range(6, 41, 2)
+               for i in range(1, (k - 2) // 2 + 1) for kind in "Dd"]
+    failures = []
+
+    def worker(offset):
+        for kind, i, k in queries[offset:] + queries[:offset]:
+            recursive = recursive_D if kind == "D" else recursive_d
+            closed = closed_D if kind == "D" else closed_d
+            try:
+                if recursive(i, k, memo) != closed(i, k):
+                    failures.append((kind, i, k))
+            except Exception as exc:  # a thread's error would be lost
+                failures.append((kind, i, k, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(7 * n,))
+                   for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
 def test_memo_is_write_once():
     memo = MemoTable()
     key = HodgeValueKey("D", 2, 10)
@@ -219,3 +270,61 @@ def test_recursion_agrees_with_closed_forms_property(g, i):
     k = 2 * g + 2
     assert recursive_D(i, k) == closed_D(i, k)
     assert recursive_d(i, k) == closed_d(i, k)
+
+
+@pytest.mark.parametrize("recursive, closed, i", [
+    (recursive_D, closed_D, 2),
+    (recursive_d, closed_d, 3),
+])
+def test_cold_deep_query_needs_no_call_stack(recursive, closed, i):
+    # the families are built in a loop, so k = 400 is as safe as k = 8
+    start = time.perf_counter()
+    assert recursive(i, 400) == closed(i, 400)
+    assert time.perf_counter() - start < 5.0
+
+
+def reference_value(kind, i, k, memo):
+    """The docstring recursion, one Fraction at a time, memoised in ``memo``.
+
+    Independent of the integer core: per-scalar signed splits, no scaling,
+    no polynomial products.
+    """
+    key = (kind, i, k)
+    if key in memo:
+        return memo[key]
+    if i > (k - 2) // 2:
+        value = Fraction(0)
+    elif i == 0:
+        value = HALF
+    elif key == ("D", 1, 4):
+        value = Fraction(1, 4)
+    else:
+        def split(kind1, k1, kind2, k2):
+            return sum((-1) ** ell * reference_value(kind1, i - ell, k1, memo)
+                       * reference_value(kind2, ell, k2, memo)
+                       for ell in range(i + 1))
+
+        if kind == "D":
+            odd = sum(comb(k - 3, j) * split("d", k - 1 - j, "d", j + 1)
+                      for j in range(1, k - 2, 2))
+            even = sum(comb(k - 3, j) * split("D", k - j, "D", j + 2)
+                       for j in range(2, k - 3, 2))
+        else:
+            odd = sum(comb(k - 2, j) * split("D", k - j + 1, "D", j + 1)
+                      for j in range(1, k - 2, 2))
+            even = sum(comb(k - 2, j) * split("d", k - j, "d", j)
+                       for j in range(2, k - 1, 2))
+        value = 2 * odd - 2 * even
+    memo[key] = value
+    return value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_core_agrees_with_fraction_reference(data):
+    g = data.draw(st.integers(0, 11), label="g")  # k = 2g + 2 <= 24
+    i = data.draw(st.integers(0, g + 1), label="i")
+    k = 2 * g + 2
+    memo = {}
+    assert recursive_D(i, k) == reference_value("D", i, k, memo)
+    assert recursive_d(i, k) == reference_value("d", i, k, memo)
