@@ -1,6 +1,7 @@
 """Command-line front end: value tables and the verification suites.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
+(an unwritable ``--out`` path included).
 The data stream (table output) is byte-deterministic for a fixed
 configuration; diagnostics go to stderr.
 """
@@ -259,8 +260,13 @@ def main(argv=None) -> int:
                 return 1
             text = _emit_table(records, args.format, args.decimal)
             if args.out:
-                with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
+                try:
+                    with open(args.out, "w", encoding="utf-8",
+                              newline="") as fh:
+                        fh.write(text)
+                except OSError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 2
             else:
                 sys.stdout.write(text)
             return 0

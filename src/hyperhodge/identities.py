@@ -31,7 +31,7 @@ from typing import Mapping, Union
 from . import kernels
 from .algebra import DensePolynomial, Rational, RationalLike, ZERO, _coerce
 from .errors import DomainError, VerificationError
-from .symmetric import elementary
+from .symmetric import gen_product
 from .values import recursion_step
 
 
@@ -89,9 +89,10 @@ def product_vanishing_sum(m_values, bound: int) -> Rational:
         direct = direct + product if k % 2 == 0 else direct - product
 
     # prod(m_i - k) = sum((-1)**r * e_{n-r}(m) * k**r)
+    e = gen_product(values)
     expanded = ZERO
     for r in range(n + 1):
-        term = elementary(n - r, values) * alternating_power_sum(bound, r)
+        term = e.coefficient(n - r) * alternating_power_sum(bound, r)
         expanded = expanded + term if r % 2 == 0 else expanded - term
 
     if direct != expanded:

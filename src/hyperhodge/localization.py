@@ -44,7 +44,7 @@ from typing import Literal
 
 from .algebra import HALF, LaurentPolynomial, Rational, ZERO, laurent_sum
 from .errors import DomainError, VerificationError
-from .values import closed_D, closed_d
+from .values import _check_even_k, closed_D, closed_d
 
 Side = Literal["zero", "infty"]
 FamilyKind = Literal["A", "B"]
@@ -291,13 +291,6 @@ def _extract(kind: FamilyKind, k: int, i: int, expected_power: int) -> Rational:
             f"graph sum for kind {kind}, k={k}, i={i} has unexpected "
             f"t-powers {sorted(stray)}", key=(kind, k, i), computed=rest)
     return -rest.coefficient(expected_power)
-
-
-def _check_even_k(k: int, minimum: int) -> None:
-    if k % 2:
-        raise DomainError(f"k must be even, got {k}")
-    if k < minimum:
-        raise DomainError(f"k must be >= {minimum}, got {k}")
 
 
 def _check_insertion(graph: LocalizationGraph, insertion: FamilyKind) -> None:

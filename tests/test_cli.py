@@ -99,6 +99,16 @@ def test_table_out_file(tmp_path):
     assert b"\r" not in content  # LF line endings
 
 
+def test_table_out_to_unwritable_path_is_usage_error(tmp_path):
+    target = tmp_path / "missing" / "values.csv"
+    done = run_subprocess("table", "--max-k", "4", "--out", str(target))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert not target.exists()
+
+
 def test_table_csv_uses_lf_line_endings():
     _, out = run_cli("table", "--max-k", "4", "--format", "csv")
     assert "\r" not in out
