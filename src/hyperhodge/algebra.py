@@ -26,28 +26,14 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
-def _fraction_from_canonical(num, den):
-    # Wrap an already-reduced pair without paying Fraction's normalization.
-    f = Fraction.__new__(Fraction)
-    f._numerator = num
-    f._denominator = den
-    return f
-
-
-try:
-    _fraction_from_canonical(1, 2)
-except AttributeError:  # fractions internals changed; take the slow path
-    _fraction_from_canonical = Fraction  # type: ignore[assignment]
-
-
 def as_pairs(coefficients):
     """Rational coefficients -> kernel representation (num, den pairs)."""
     return [(c.numerator, c.denominator) for c in coefficients]
 
 
 def from_pairs(pairs):
-    """Kernel representation -> tuple of Rational (pairs must be canonical)."""
-    return tuple(_fraction_from_canonical(n, d) for n, d in pairs)
+    """Kernel representation -> tuple of Rational."""
+    return tuple(Fraction(n, d) for n, d in pairs)
 
 
 class _MinusInfinity:
@@ -119,15 +105,6 @@ class DensePolynomial:
         """The monomial ``t``."""
         return cls((ZERO, ONE))
 
-    @classmethod
-    def _from_canonical_pairs(cls, pairs) -> "DensePolynomial":
-        poly = cls.__new__(cls)
-        coeffs = from_pairs(pairs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        poly._coeffs = coeffs
-        return poly
-
     @property
     def coefficients(self) -> tuple[Rational, ...]:
         return self._coeffs
@@ -171,7 +148,7 @@ class DensePolynomial:
         if isinstance(other, DensePolynomial):
             pairs = kernels.poly_mul(as_pairs(self._coeffs),
                                      as_pairs(other._coeffs))
-            return DensePolynomial._from_canonical_pairs(pairs)
+            return DensePolynomial(from_pairs(pairs))
         if isinstance(other, (Fraction, int)):
             scale = _coerce(other)
             return DensePolynomial(c * scale for c in self._coeffs)

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Union
 
 from . import kernels
-from .algebra import DensePolynomial, Rational, RationalLike, ZERO, _coerce
+from .algebra import DensePolynomial, Rational, ZERO, _coerce
 from .errors import DomainError, VerificationError
 from .symmetric import gen_product
-from .values import recursion_step
+from .values import closed_family, recursion_step
 
 
 @dataclass(frozen=True)
@@ -107,16 +106,16 @@ def eqn_check(g: int) -> IdentityReport:
 
     Left side: the closed A_k = prod over n in 1..g of (1 + (2n-1)t), with
     k = 2g + 2.  Right side: values.recursion_step for A_k, fed the closed
-    families A_k' = prod(1 + (2n-1)t) and a_k' = prod(1 + 2nt) over n in
-    1..(k'-2)/2: the signed binomial combination of split products, with
-    odd j in 1..2g-1 and even j in 2..2g-2.  Every split product has degree
-    at most g, so the step's degree cap g drops nothing.
+    families A_k' and a_k' of values.closed_family: the signed binomial
+    combination of split products, with odd j in 1..2g-1 and even j in
+    2..2g-2.  Every split product has degree at most g, so the step's
+    degree cap g drops nothing.
     """
     if g < 2:
         raise DomainError("the identity needs g >= 2")
     k = 2 * g + 2
-    D = {m: _linear_product(range(1, m - 2, 2)) for m in range(2, k + 1, 2)}
-    d = {m: _linear_product(range(2, m - 1, 2)) for m in range(2, k, 2)}
+    D = {m: closed_family("D", m, g) for m in range(2, k + 1, 2)}
+    d = {m: closed_family("d", m, g) for m in range(2, k, 2)}
     return IdentityReport(
         name="generating-product identity",
         parameters=(("g", g), ("k", k)),

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import kernels
 from .algebra import (DensePolynomial, Rational, RationalLike, ZERO,
-                      _coerce, as_pairs, from_pairs)
+                      _coerce, from_pairs)
 from .errors import DomainError
 
 Values = Sequence[RationalLike]
@@ -54,7 +54,7 @@ def gen_product(values: Values, sign: int = 1) -> DensePolynomial:
     pairs = _value_pairs(values)
     if sign == -1:
         pairs = [(-n, d) for n, d in pairs]
-    return DensePolynomial._from_canonical_pairs(kernels.linear_product(pairs))
+    return DensePolynomial(from_pairs(kernels.linear_product(pairs)))
 
 
 def signed_convolution(a: Values, b: Values, i: int) -> Rational:
@@ -64,16 +64,4 @@ def signed_convolution(a: Values, b: Values, i: int) -> Rational:
     """
     if i < 0:
         raise DomainError("convolution index must be >= 0")
-    ea = kernels.linear_product(_value_pairs(a), max_degree=i)
-    eb = kernels.linear_product(_value_pairs(b), max_degree=i)
-    ea_frac = from_pairs(ea)
-    eb_frac = from_pairs(eb)
-    total = ZERO
-    sign = 1
-    for ell in range(i + 1):
-        j = i - ell
-        if ell < len(eb_frac) and j < len(ea_frac):
-            term = ea_frac[j] * eb_frac[ell]
-            total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
+    return (gen_product(a) * gen_product(b, -1)).coefficient(i)

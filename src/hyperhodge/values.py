@@ -38,15 +38,19 @@ The coefficient of t**i in V(t) * W(-t) is the lambda-class splitting sum
 sum((-1)**l * V_{i-l} * W_l), and the recursion's factor 2 cancels the 1/2
 the scaling leaves on each product, so the step needs no denominators.
 ``recursion_step`` is that one step; ``identities.eqn_check`` feeds it the
-closed-form families.
+closed-form families, which ``closed_family`` builds as those integer
+products.  ``closed_D`` and ``closed_d`` unscale one coefficient of them,
+and ``table`` compares the two routes' integer families coefficient by
+coefficient.
 
 Base values: D(1, 4) = 1/4, D(0, k) = d(0, k) = 1/2, and zero for i > g; the
 k = 2 conventions (1/2 for i = 0, else 0) give A_2 = a_2 = 1 and make the
 recursions' extreme summands match the degenerate graphs they encode.  The
 families are built bottom-up in k, A_k before a_k (which reads it), and
-truncated at the highest degree the caller asks for.  Each coefficient is
-first offered to ``base_value``; the recursion fills in only the rest.
-The recursion never reads the closed forms.
+truncated at the highest degree the caller asks for; ``MemoTable`` holds
+them and nothing else.  Each coefficient is first offered to
+``base_value``; the recursion fills in only the rest.  The recursion never
+reads the closed forms.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from typing import Optional
 from . import kernels
 from .algebra import HALF, Rational, ZERO, as_pairs
 from .errors import DomainError, VerificationError
-from .symmetric import elementary
 
 QUARTER = Fraction(1, 4)
 
@@ -91,16 +94,14 @@ class HodgeValueKey:
 
 
 class MemoTable:
-    """Write-once map from HodgeValueKey to Rational, and the families behind it.
+    """The scaled D and d families the recursion built, shared by later queries.
 
-    Concurrent duplicate computation of a key is harmless (both writers hold
-    the identical value), but overwriting a stored key with a different value
-    is always a bug and raises.  The scaled families the recursion built are
-    kept too, so later queries share them instead of rebuilding.
+    Values are read off the families; the table holds nothing else.  The
+    families are replaced only by whole published copies, so threads may
+    share one table.
     """
 
     def __init__(self):
-        self._values: dict[HodgeValueKey, Rational] = {}
         self._families: tuple[int, dict, dict] = (-1, {}, {})
 
     def families(self, cap: int, k_max: int) -> tuple[dict, dict]:
@@ -131,23 +132,6 @@ class MemoTable:
             self._families = (held, D, d)
         return D, d
 
-    def get(self, key: HodgeValueKey) -> Optional[Rational]:
-        return self._values.get(key)
-
-    def set(self, key: HodgeValueKey, value: Rational) -> None:
-        existing = self._values.get(key)
-        if existing is not None and existing != value:
-            raise VerificationError(
-                f"memo overwrite for {key}: had {existing}, got {value}",
-                key=key, expected=existing, computed=value)
-        self._values[key] = value
-
-    def __contains__(self, key: HodgeValueKey) -> bool:
-        return key in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
 
 def _check_even_k(k: int, minimum: int) -> None:
     if k % 2:
@@ -156,13 +140,28 @@ def _check_even_k(k: int, minimum: int) -> None:
         raise DomainError(f"k must be >= {minimum}, got {k}")
 
 
+def closed_family(kind: str, k: int, degree: int) -> list[int]:
+    """Coefficients 0..degree of the scaled closed family ``kind`` at k.
+
+    prod(1 + (2n-1)t) for 'D' and prod(1 + 2nt) for 'd', over n in
+    1..(k-2)/2: the coefficient of t**i is 2**(i+1) times D(i, k) or
+    d(i, k), and those above the genus are zero.
+    """
+    if kind not in ("D", "d"):
+        raise DomainError(f"kind must be 'D' or 'd', not {kind!r}")
+    offset = 1 if kind == "D" else 0
+    factors = [(2 * n - offset, 1) for n in range(1, k // 2)]
+    coeffs = [c for c, _ in kernels.linear_product(factors, max_degree=degree)]
+    return coeffs + [0] * (degree + 1 - len(coeffs))
+
+
 @lru_cache(maxsize=None)
 def closed_D(i: int, k: int) -> Rational:
     """(1/2)**(i+1) * e_i(1, 3, ..., k-3); zero once i exceeds (k-2)/2."""
     _check_even_k(k, 4)
     if i < 0:
         raise DomainError("lambda index i must be >= 0")
-    return Fraction(1, 2 ** (i + 1)) * elementary(i, range(1, k - 2, 2))
+    return _unscale(closed_family("D", k, i)[i], i)
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +170,7 @@ def closed_d(i: int, k: int) -> Rational:
     _check_even_k(k, 2)
     if i < 0:
         raise DomainError("lambda index i must be >= 0")
-    return Fraction(1, 2 ** (i + 1)) * elementary(i, range(2, k - 1, 2))
+    return _unscale(closed_family("d", k, i)[i], i)
 
 
 def base_value(key: HodgeValueKey) -> Optional[Rational]:
@@ -248,22 +247,9 @@ def _recursive(key: HodgeValueKey, memo: Optional[MemoTable]) -> Rational:
         return base
     if memo is None:
         memo = MemoTable()
-    value = memo.get(key)
-    if value is None:
-        D, d = memo.families(key.i, key.k)
-        family = D if key.kind == "D" else d
-        value = _unscale(family[key.k][key.i], key.i)
-        memo.set(key, value)
-    return value
-
-
-def closed_value(key: HodgeValueKey) -> Rational:
-    """Closed form for any key (k = 2 falls back to the boundary convention)."""
-    if key.k == 2:
-        return HALF if key.i == 0 else ZERO
-    if key.kind == "D":
-        return closed_D(key.i, key.k)
-    return closed_d(key.i, key.k)
+    D, d = memo.families(key.i, key.k)
+    family = D if key.kind == "D" else d
+    return _unscale(family[key.k][key.i], key.i)
 
 
 def table(max_k: int) -> list[tuple[HodgeValueKey, Rational]]:
@@ -271,24 +257,28 @@ def table(max_k: int) -> list[tuple[HodgeValueKey, Rational]]:
 
     The recursion builds the scaled integer families A_k and a_k once,
     bottom-up in k through max_k and to the top degree (max_k - 2) / 2, with
-    the one ``recursion_step`` per family; each coefficient is then checked
-    against the closed form, and a mismatch raises VerificationError naming
-    the key and both values.  Rows come back sorted by (kind, k, i).
+    the one ``recursion_step`` per family.  For each k in ascending order, D
+    before d, each family is then compared coefficient by coefficient with
+    ``closed_family``, so the first mismatch is at the key where the routes
+    first part; it raises VerificationError naming the key and both values.
+    Rows come back sorted by (kind, k, i).
     """
     _check_even_k(max_k, 4)
     D, d = MemoTable().families((max_k - 2) // 2, max_k)
     rows: list[tuple[HodgeValueKey, Rational]] = []
     for k in range(4, max_k + 1, 2):
         for kind, family in (("D", D), ("d", d)):
-            for i, scaled in enumerate(family[k]):
-                key = HodgeValueKey(kind, i, k)
-                closed = closed_value(key)
-                recursive = _unscale(scaled, i)
-                if closed != recursive:
+            closed = closed_family(kind, k, (k - 2) // 2)
+            for i, (expected, computed) in enumerate(zip(closed, family[k])):
+                if expected != computed:
+                    key = HodgeValueKey(kind, i, k)
+                    expected = _unscale(expected, i)
+                    computed = _unscale(computed, i)
                     raise VerificationError(
                         f"closed/recursive mismatch for {key}: "
-                        f"closed {closed}, recursive {recursive}",
-                        key=key, expected=closed, computed=recursive)
-                rows.append((key, closed))
+                        f"closed {expected}, recursive {computed}",
+                        key=key, expected=expected, computed=computed)
+            rows.extend((HodgeValueKey(kind, i, k), _unscale(c, i))
+                        for i, c in enumerate(closed))
     rows.sort(key=lambda row: (row[0].kind, row[0].k, row[0].i))
     return rows

@@ -202,15 +202,15 @@ def test_memo_shared_between_threads():
     assert failures == []
 
 
-def test_memo_is_write_once():
-    memo = MemoTable()
-    key = HodgeValueKey("D", 2, 10)
-    memo.set(key, Fraction(1, 8))
-    memo.set(key, Fraction(1, 8))  # identical rewrite is allowed
-    with pytest.raises(VerificationError):
-        memo.set(key, Fraction(1, 9))
-    assert len(memo) == 1
-    assert key in memo
+def test_recursion_never_reads_the_closed_forms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the recursion read the closed form")
+
+    for name in ("closed_family", "closed_D", "closed_d"):
+        monkeypatch.setattr(values, name, refuse)
+    assert recursive_d(2, 8, MemoTable()) == Fraction(11, 2)
+    # e_3(1, 3, ..., 21) = 197835 by subset enumeration, frozen
+    assert recursive_D(3, 24, MemoTable()) == Fraction(197835, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +251,23 @@ def test_table_rejects_bad_bounds():
         table(2)
 
 
-def test_fault_injection_is_detected():
-    key = HodgeValueKey("D", 1, 4)
-    FAULT_INJECTION[key] = Fraction(1, 5)
+@pytest.mark.parametrize("key, injected, expected", [
+    # a base value the recursion never computes
+    pytest.param(HodgeValueKey("D", 1, 4), Fraction(1, 5), Fraction(1, 4),
+                 id="D-1-4"),
+    # a value the recursion computes, which later D values read: the
+    # mismatch must be reported here, not at a D value downstream of it
+    pytest.param(HodgeValueKey("d", 1, 6), Fraction(7, 2), Fraction(3, 2),
+                 id="d-1-6"),
+])
+def test_fault_injection_is_detected(key, injected, expected):
+    FAULT_INJECTION[key] = injected
     try:
         with pytest.raises(VerificationError) as err:
             table(8)
         assert err.value.key == key
-        assert err.value.expected == Fraction(1, 4)
-        assert err.value.computed == Fraction(1, 5)
+        assert err.value.expected == expected
+        assert err.value.computed == injected
     finally:
         FAULT_INJECTION.clear()
 
