@@ -36,105 +36,91 @@ class SuiteOutcome:
     failure: Optional[IdentityReport] = None
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return self.failure is None
+
+def _run(name: str, reports) -> SuiteOutcome:
+    """Count the passing checks up to the first failure, returned or raised."""
+    outcome = SuiteOutcome(name)
+    try:
+        for report in reports:
+            if not report.passed:
+                outcome.failure = report
+                break
+            outcome.checks += 1
+    except VerificationError as exc:
+        outcome.failure = IdentityReport(
+            name, (("key", exc.key),), exc.computed, exc.expected)
+    return outcome
 
 
-def _fail(outcome: SuiteOutcome, report: IdentityReport) -> bool:
-    if not report.passed:
-        outcome.failure = report
-        return True
-    outcome.checks += 1
-    return False
-
-
-def run_identity_suite(max_g: int) -> SuiteOutcome:
-    """Alternating sums, product vanishing, eqn, P/Q vanishing, hat roots."""
-    outcome = SuiteOutcome("identities")
-
+def _identity_checks(max_g: int):
     # documented boundary cases: the vanishing ranges are sharp
-    if _fail(outcome, IdentityReport(
-            "alternating-power-sum boundary", (("m", 1), ("p", 1)),
-            identities.alternating_power_sum(1, 1), -1)):
-        return outcome
-    if _fail(outcome, IdentityReport(
-            "P(t) boundary", (("g", 1),),
-            identities.P_poly(1),
-            DensePolynomial.variable())):
-        return outcome
+    yield IdentityReport(
+        "alternating-power-sum boundary", (("m", 1), ("p", 1)),
+        identities.alternating_power_sum(1, 1), -1)
+    yield IdentityReport(
+        "P(t) boundary", (("g", 1),),
+        identities.P_poly(1), DensePolynomial.variable())
 
     for m in range(0, min(2 * max_g, 60) + 1):
         for p in range(m):
-            if _fail(outcome, IdentityReport(
-                    "alternating-power-sum vanishing", (("m", m), ("p", p)),
-                    identities.alternating_power_sum(m, p), 0)):
-                return outcome
+            yield IdentityReport(
+                "alternating-power-sum vanishing", (("m", m), ("p", p)),
+                identities.alternating_power_sum(m, p), 0)
 
     rng = random.Random(20220408)  # fixed: the emitted report is deterministic
-    for n in range(1, 11):
+    for n in range(1, min(max_g, 10) + 1):
         for bound in (2 * n - 1, 2 * n):
             if bound == 2 * n - 1 and n < 2:
                 continue  # sharp boundary: the 2n-1 variant needs n >= 2
             for _ in range(100):
                 draw = [Rational(rng.randint(-99, 99), rng.randint(1, 20))
                         for _ in range(n)]
-                if _fail(outcome, IdentityReport(
-                        "product vanishing", (("n", n), ("bound", bound)),
-                        identities.product_vanishing_sum(draw, bound), 0)):
-                    return outcome
+                yield IdentityReport(
+                    "product vanishing", (("n", n), ("bound", bound)),
+                    identities.product_vanishing_sum(draw, bound), 0)
 
     zero = DensePolynomial.zero()
+    for g in range(2, max_g + 1):
+        yield IdentityReport(
+            "P(t) vanishing", (("g", g),), identities.P_poly(g), zero)
+        yield identities.eqn_check(g)
+    for g in range(2, min(max_g, 20) + 1):
+        yield IdentityReport(
+            "hat-transform roots", (("g", g), ("points", f"1..{g + 1}")),
+            identities.hat_root_values(g), [Rational(0)] * (g + 1))
+    for g in range(1, max_g + 1):
+        yield IdentityReport(
+            "Q(t) vanishing", (("g", g),), identities.Q_poly(g), zero)
+
+
+def run_identity_suite(max_g: int) -> SuiteOutcome:
+    """Alternating sums, product vanishing, eqn, P/Q vanishing, hat roots."""
+    outcome = _run("identities", _identity_checks(max_g))
     if max_g < 2:
         outcome.notes.append(
             "P(t) vanishing: skipped for g=1 (out of theorem range)")
-    for g in range(2, max_g + 1):
-        if _fail(outcome, IdentityReport(
-                "P(t) vanishing", (("g", g),), identities.P_poly(g), zero)):
-            return outcome
-        report = identities.eqn_check(g)
-        if _fail(outcome, report):
-            return outcome
-    for g in range(2, min(max_g, 20) + 1):
-        roots = identities.hat_root_values(g)
-        if _fail(outcome, IdentityReport(
-                "hat-transform roots", (("g", g), ("points", f"1..{g + 1}")),
-                roots, [Rational(0)] * (g + 1))):
-            return outcome
-    for g in range(1, max_g + 1):
-        if _fail(outcome, IdentityReport(
-                "Q(t) vanishing", (("g", g),), identities.Q_poly(g), zero)):
-            return outcome
     return outcome
 
 
 def run_cross_oracle_suite(max_k: int) -> SuiteOutcome:
     """Closed form against the recursion for every value up to max_k."""
-    outcome = SuiteOutcome("closed-vs-recursive")
-    try:
-        rows = values.table(max_k)
-    except VerificationError as exc:
-        outcome.failure = IdentityReport(
-            "closed-vs-recursive", (("key", exc.key),),
-            exc.computed, exc.expected)
-        return outcome
-    outcome.checks = len(rows)
-    return outcome
+    def checks():  # lazy, so a values.table mismatch raises inside _run
+        for key, value in values.table(max_k):
+            yield IdentityReport("closed-vs-recursive", (("key", key),),
+                                 value, value)
+    return _run("closed-vs-recursive", checks())
 
 
 def run_localization_suite(max_k: int) -> SuiteOutcome:
     """Vanishing of both auxiliary integrals for all k and i in range."""
-    outcome = SuiteOutcome("localization")
     zero = LaurentPolynomial.zero()
-    for kind, k_min in (("A", 6), ("B", 4)):
-        for k in range(k_min, max_k + 1, 2):
-            for i in range((k - 2) // 2 + 1):
-                total = localization.auxiliary_integral(kind, k, i)
-                if _fail(outcome, IdentityReport(
-                        "auxiliary-integral vanishing",
-                        (("kind", kind), ("k", k), ("i", i)), total, zero)):
-                    return outcome
-    return outcome
+    return _run("localization", (
+        IdentityReport("auxiliary-integral vanishing",
+                       (("kind", kind), ("k", k), ("i", i)),
+                       localization.auxiliary_integral(kind, k, i), zero)
+        for kind, k_min in (("A", 6), ("B", 4))
+        for k in range(k_min, max_k + 1, 2)
+        for i in range((k - 2) // 2 + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +221,11 @@ def _report_outcomes(outcomes) -> int:
     for outcome in outcomes:
         for note in outcome.notes:
             print(f"{outcome.name}: {note}")
-        if outcome.passed:
-            print(f"{outcome.name}: {outcome.checks} checks passed")
-        else:
+        if outcome.failure is not None:
             print(f"{outcome.name}: FAILED after {outcome.checks} passing checks")
             print(outcome.failure.describe())
             return 1
+        print(f"{outcome.name}: {outcome.checks} checks passed")
     print("all suites passed")
     return 0
 
@@ -253,11 +238,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "table":
-            try:
-                records = _table_records(args.max_k, args.decimal)
-            except VerificationError as exc:
-                print(f"verification failure: {exc}", file=sys.stderr)
-                return 1
+            records = _table_records(args.max_k, args.decimal)
             text = _emit_table(records, args.format, args.decimal)
             if args.out:
                 try:
@@ -272,11 +253,10 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            return _report_outcomes([
-                run_identity_suite(args.max_g),
-                run_cross_oracle_suite(args.max_k),
-                run_localization_suite(min(args.max_k, 20)),
-            ])
+            return _report_outcomes(run(bound) for run, bound in (
+                (run_identity_suite, args.max_g),
+                (run_cross_oracle_suite, args.max_k),
+                (run_localization_suite, min(args.max_k, 20))))
         if args.command == "verify-localization":
             return _report_outcomes([run_localization_suite(args.max_k)])
         if args.command == "verify-identities":

@@ -10,7 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from hyperhodge import cli, values
+from hyperhodge import cli, identities, values
+from hyperhodge.algebra import DensePolynomial
+from hyperhodge.errors import VerificationError
+from hyperhodge.identities import IdentityReport
 from hyperhodge.values import HodgeValueKey
 
 
@@ -154,6 +157,62 @@ def test_verify_small_g_reports_skip():
     assert "skipped for g=1 (out of theorem range)" in out
 
 
+def test_verify_prints_pinned_suite_counts():
+    code, out = run_cli("verify", "--max-k", "8", "--max-g", "10")
+    assert code == 0
+    assert out == ("identities: 2149 checks passed\n"
+                   "closed-vs-recursive: 18 checks passed\n"
+                   "localization: 16 checks passed\n"
+                   "all suites passed\n")
+
+
+def test_product_vanishing_draws_follow_max_g():
+    code, out = run_cli("verify-identities", "--max-g", "1")
+    assert code == 0
+    assert "identities: 106 checks passed\n" in out
+
+
+def test_failing_report_ends_verify_before_later_suites(monkeypatch):
+    real_q = identities.Q_poly
+    t = DensePolynomial.variable()
+    monkeypatch.setattr(identities, "Q_poly",
+                        lambda g: t if g == 3 else real_q(g))
+
+    def table_must_not_run(max_k, memo=None):
+        raise AssertionError("values.table ran after a failed suite")
+
+    monkeypatch.setattr(values, "table", table_must_not_run)
+    code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
+    assert code == 1
+    failure = IdentityReport("Q(t) vanishing", (("g", 3),), t,
+                             DensePolynomial.zero())
+    assert out == ("identities: FAILED after 531 passing checks\n"
+                   + failure.describe() + "\n")
+
+
+def test_raised_verification_error_is_the_suite_failure(monkeypatch, capsys):
+    real_sum = identities.product_vanishing_sum
+
+    def disagreeing_sum(m_values, bound):
+        if len(m_values) == 2:
+            raise VerificationError(
+                "product/elementary-symmetric routes disagree",
+                key=((Fraction(1, 3), Fraction(-2)), bound),
+                expected=Fraction(5, 7), computed=Fraction(-1, 2))
+        return real_sum(m_values, bound)
+
+    monkeypatch.setattr(identities, "product_vanishing_sum", disagreeing_sum)
+    code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "identities: FAILED after 123 passing checks",
+        "identity identities [key=((Fraction(1, 3), Fraction(-2, 1)), 3)]: FAIL",
+        "  computed: -1/2",
+        "  expected: 5/7",
+    ]
+    assert capsys.readouterr().err == ""
+
+
 def test_fault_injected_base_value_fails_verify():
     key = HodgeValueKey("D", 1, 4)
     values.FAULT_INJECTION[key] = Fraction(1, 5)
@@ -165,12 +224,15 @@ def test_fault_injected_base_value_fails_verify():
         values.FAULT_INJECTION.clear()
 
 
-def test_fault_injected_base_value_fails_table():
+def test_fault_injected_base_value_fails_table(capsys):
     key = HodgeValueKey("d", 1, 6)
     values.FAULT_INJECTION[key] = Fraction(7, 2)
     try:
         code, _ = run_cli("table", "--max-k", "8", "--format", "csv")
         assert code == 1
+        assert capsys.readouterr().err == (
+            f"verification failure: closed/recursive mismatch for {key}: "
+            "closed 3/2, recursive 7/2\n")
     finally:
         values.FAULT_INJECTION.clear()
 
