@@ -38,7 +38,10 @@ class SuiteOutcome:
 
 
 def _run(name: str, reports) -> SuiteOutcome:
-    """Count the passing checks up to the first failure, returned or raised."""
+    """Count the passing checks up to the first failure, returned or raised.
+
+    A raised VerificationError becomes a report named by its message.
+    """
     outcome = SuiteOutcome(name)
     try:
         for report in reports:
@@ -48,7 +51,7 @@ def _run(name: str, reports) -> SuiteOutcome:
             outcome.checks += 1
     except VerificationError as exc:
         outcome.failure = IdentityReport(
-            name, (("key", exc.key),), exc.computed, exc.expected)
+            str(exc), (("key", exc.key),), exc.computed, exc.expected)
     return outcome
 
 

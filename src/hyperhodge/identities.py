@@ -1,7 +1,8 @@
 """Alternating binomial identities behind the closed forms, checked exactly.
 
-The chain of facts verified here, in the order the proof machinery uses
-them:
+Every check runs on plain ints and is computed term by term; only the
+results are handed back as ``Fraction`` or ``DensePolynomial``.  The chain
+of facts verified here, in the order the proof machinery uses them:
 
 * ``alternating_power_sum(m, p)``: sum((-1)**k * C(m, k) * k**p) vanishes in
   the classical range 0 <= p < m (finite differences of order m kill degree
@@ -9,15 +10,19 @@ them:
 * ``product_vanishing_sum``: the same sum with k**p replaced by a product
   prod(m_i - k) over n arbitrary rationals; vanishes for m = 2n always and
   for m = 2n - 1 once n >= 2, since the product expands into powers k**r
-  with r <= n.
+  with r <= n.  The rationals are cleared by one common denominator L, and
+  the sum is taken twice on ints: directly over prod(L*m_i - k*L), and
+  through the elementary symmetric functions of the L*m_i.
 * ``eqn_check``: the polynomial identity equivalent to the D-recursion once
   the closed forms are substituted and everything is packed into generating
   products: the recursion's own step (``values.recursion_step``) fed the
-  closed-form families.
+  closed-form families of ``values.closed_families``.
 * ``P_poly`` / ``hat_transform``: the alternating sum of shifted generating
   products whose vanishing (degree <= g, yet g + 1 roots after the
   reversal substitution t -> 1/t) proves eqn; P_poly(1) = t, so the
-  vanishing genuinely starts at g = 2.
+  vanishing genuinely starts at g = 2.  Consecutive products of one parity
+  share all factors but one, so each is the one before it times the
+  entering factor, divided exactly by the leaving one.
 * ``Q_poly``: the analogous alternating sum settling the d-recursion;
   vanishes from g = 1 on.
 """
@@ -25,13 +30,13 @@ them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 from . import kernels
 from .algebra import DensePolynomial, Rational, ZERO, _coerce
 from .errors import DomainError, VerificationError
-from .symmetric import gen_product
-from .values import closed_family, recursion_step
+from .values import closed_families, recursion_step
 
 
 @dataclass(frozen=True)
@@ -69,9 +74,14 @@ def alternating_power_sum(m: int, p: int) -> int:
 def product_vanishing_sum(m_values, bound: int) -> Rational:
     """sum((-1)**k * C(bound, k) * prod(m_i - k)) for k in 0..bound.
 
-    ``bound`` must be 2n-1 or 2n for n = len(m_values).  Computed twice — by
-    direct product evaluation and through the elementary-symmetric expansion
-    into alternating power sums — and the two routes must agree.
+    ``bound`` must be 2n-1 or 2n for n = len(m_values).  With L the lcm of
+    the denominators and M_i = L * m_i, the sum is L**-n times
+
+        sum((-1)**k * C(bound, k) * prod(M_i - k*L))                 (direct)
+        sum((-1)**r * e_{n-r}(M) * L**r * alternating_power_sum(bound, r))
+
+    both taken on ints.  The two routes must agree; the result is the
+    direct one over L**n.
     """
     values = [_coerce(v) for v in m_values]
     n = len(values)
@@ -79,26 +89,29 @@ def product_vanishing_sum(m_values, bound: int) -> Rational:
         raise DomainError("need at least one value")
     if bound not in (2 * n - 1, 2 * n):
         raise DomainError(f"bound must be {2 * n - 1} or {2 * n}, got {bound}")
+    L = lcm(*(v.denominator for v in values))
+    M = [v.numerator * (L // v.denominator) for v in values]
 
-    direct = ZERO
+    direct = 0
     for k in range(bound + 1):
-        product = Rational(comb(bound, k))
-        for v in values:
-            product *= v - k
+        product = comb(bound, k)
+        for m in M:
+            product *= m - k * L
         direct = direct + product if k % 2 == 0 else direct - product
 
-    # prod(m_i - k) = sum((-1)**r * e_{n-r}(m) * k**r)
-    e = gen_product(values)
-    expanded = ZERO
+    # prod(M_i - k*L) = sum((-1)**r * e_{n-r}(M) * (k*L)**r)
+    e = _linear_product(M)
+    expanded = 0
     for r in range(n + 1):
-        term = e.coefficient(n - r) * alternating_power_sum(bound, r)
+        term = e[n - r] * L ** r * alternating_power_sum(bound, r)
         expanded = expanded + term if r % 2 == 0 else expanded - term
 
     if direct != expanded:
         raise VerificationError(
             "product/elementary-symmetric routes disagree",
-            key=(tuple(values), bound), expected=direct, computed=expanded)
-    return direct
+            key=(tuple(values), bound), expected=Fraction(direct, L ** n),
+            computed=Fraction(expanded, L ** n))
+    return Fraction(direct, L ** n)
 
 
 def eqn_check(g: int) -> IdentityReport:
@@ -106,16 +119,17 @@ def eqn_check(g: int) -> IdentityReport:
 
     Left side: the closed A_k = prod over n in 1..g of (1 + (2n-1)t), with
     k = 2g + 2.  Right side: values.recursion_step for A_k, fed the closed
-    families A_k' and a_k' of values.closed_family: the signed binomial
-    combination of split products, with odd j in 1..2g-1 and even j in
-    2..2g-2.  Every split product has degree at most g, so the step's
-    degree cap g drops nothing.
+    families A_k' and a_k': the signed binomial combination of split
+    products, with odd j in 1..2g-1 and even j in 2..2g-2.  Every split
+    product has degree at most g, so the step's degree cap g drops nothing.
+    All families come from one incremental values.closed_families product
+    per kind, truncated at degree g.
     """
     if g < 2:
         raise DomainError("the identity needs g >= 2")
     k = 2 * g + 2
-    D = {m: closed_family("D", m, g) for m in range(2, k + 1, 2)}
-    d = {m: closed_family("d", m, g) for m in range(2, k, 2)}
+    D = dict(zip(range(2, k + 1, 2), closed_families("D", g)))
+    d = dict(zip(range(2, k, 2), closed_families("d", g)))
     return IdentityReport(
         name="generating-product identity",
         parameters=(("g", g), ("k", k)),
@@ -129,10 +143,37 @@ def _linear_product(factors) -> list[int]:
     return [c for c, _ in kernels.linear_product([(c, 1) for c in factors])]
 
 
+def _times_linear(coeffs: list[int], c: int) -> list[int]:
+    # coeffs * (1 + c*t), one degree longer
+    return [a + c * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+
+
+def _divide_linear(coeffs: list[int], c: int) -> list[int]:
+    """coeffs / (1 + c*t), one degree shorter, by exact division.
+
+    A nonzero remainder raises VerificationError keyed by the polynomial
+    and c, with expected remainder 0.
+    """
+    quotient = []
+    carry = 0
+    for a in coeffs[:-1]:
+        carry = a - c * carry
+        quotient.append(carry)
+    remainder = coeffs[-1] - c * carry
+    if remainder:
+        raise VerificationError(
+            f"1 + ({c})t does not divide the product exactly",
+            key=(tuple(coeffs), c), expected=0, computed=remainder)
+    return quotient
+
+
 def P_poly(g: int) -> DensePolynomial:
     """sum((-1)**j * C(2g-1, j) * prod(1 + (2g-1-j-2(n-1))t, n=1..g)).
 
-    Identically zero for every g >= 2; P_poly(1) = t.
+    Identically zero for every g >= 2; P_poly(1) = t.  The 2g products are
+    taken in two parity chains, each from one full product: the product at
+    j + 2 is the one at j times the factor for n = g + 1, divided exactly
+    by the factor for n = 1 (a remainder raises VerificationError).
     """
     if g < 1:
         raise DomainError("g must be >= 1")
@@ -142,7 +183,7 @@ def P_poly(g: int) -> DensePolynomial:
 def Q_poly(g: int) -> DensePolynomial:
     """sum((-1)**j * C(2g, j) * prod(1 + (2g+1-j-2(n-1))t, n=1..g)).
 
-    Identically zero for every g >= 1.
+    Identically zero for every g >= 1; the products come as in P_poly.
     """
     if g < 1:
         raise DomainError("g must be >= 1")
@@ -151,12 +192,27 @@ def Q_poly(g: int) -> DensePolynomial:
 
 def _alternating_product_sum(order: int, top: int, g: int) -> DensePolynomial:
     total = [0] * (g + 1)
-    for j in range(order + 1):
+    for j, block in enumerate(_window_blocks(order, top, g)):
         scale = comb(order, j) if j % 2 == 0 else -comb(order, j)
-        block = _linear_product(top - j - 2 * (n - 1) for n in range(1, g + 1))
-        for i, c in enumerate(block):
-            total[i] += scale * c
+        total = [a + scale * c for a, c in zip(total, block)]
     return DensePolynomial(total)
+
+
+def _window_blocks(order: int, top: int, g: int):
+    """prod(1 + (top - j - 2n)t, n=0..g-1) for j = 0..order, in order.
+
+    The factor constants at j + 2 are those at j shifted down by 2: the
+    constant top - j leaves and top - j - 2g enters.
+    """
+    chains = []
+    for j in range(order + 1):
+        if j < 2:
+            chains.append(_linear_product(top - j - 2 * n for n in range(g)))
+        else:
+            chains[j % 2] = _times_linear(
+                _divide_linear(chains[j % 2], top - j + 2),
+                top - j - 2 * (g - 1))
+        yield chains[j % 2]
 
 
 def hat_transform(p: DensePolynomial, g: int) -> DensePolynomial:

@@ -39,9 +39,10 @@ sum((-1)**l * V_{i-l} * W_l), and the recursion's factor 2 cancels the 1/2
 the scaling leaves on each product, so the step needs no denominators.
 ``recursion_step`` is that one step; ``identities.eqn_check`` feeds it the
 closed-form families, which ``closed_family`` builds as those integer
-products.  ``closed_D`` and ``closed_d`` unscale one coefficient of them,
-and ``table`` compares the two routes' integer families coefficient by
-coefficient.
+products and ``closed_families`` builds for k = 2, 4, ... in turn, one
+factor per step.  ``closed_D`` and ``closed_d`` unscale one coefficient of
+them, and ``table`` compares the two routes' integer families coefficient
+by coefficient.
 
 Base values: D(1, 4) = 1/4, D(0, k) = d(0, k) = 1/2, and zero for i > g; the
 k = 2 conventions (1/2 for i = 0, else 0) give A_2 = a_2 = 1 and make the
@@ -58,7 +59,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from itertools import count, islice
+from typing import Iterator, Optional
 
 from . import kernels
 from .algebra import HALF, Rational, ZERO, as_pairs
@@ -153,6 +155,20 @@ def closed_family(kind: str, k: int, degree: int) -> list[int]:
     factors = [(2 * n - offset, 1) for n in range(1, k // 2)]
     coeffs = [c for c, _ in kernels.linear_product(factors, max_degree=degree)]
     return coeffs + [0] * (degree + 1 - len(coeffs))
+
+
+def closed_families(kind: str, degree: int) -> Iterator[list[int]]:
+    """``closed_family(kind, k, degree)`` for k = 2, 4, 6, ... in turn.
+
+    One incremental product: the family at k is the one at k - 2 times
+    1 + (k-3)t for 'D' or 1 + (k-2)t for 'd', truncated at ``degree``.
+    """
+    if kind not in ("D", "d"):
+        raise DomainError(f"kind must be 'D' or 'd', not {kind!r}")
+    coeffs = [1] + [0] * degree
+    for c in count(1 if kind == "D" else 2, 2):  # the next factor 1 + ct
+        yield coeffs
+        coeffs = coeffs[:1] + [a + c * b for a, b in zip(coeffs[1:], coeffs)]
 
 
 @lru_cache(maxsize=None)
@@ -264,11 +280,14 @@ def table(max_k: int) -> list[tuple[HodgeValueKey, Rational]]:
     Rows come back sorted by (kind, k, i).
     """
     _check_even_k(max_k, 4)
-    D, d = MemoTable().families((max_k - 2) // 2, max_k)
+    top = (max_k - 2) // 2
+    D, d = MemoTable().families(top, max_k)
+    closed_from_4 = {kind: islice(closed_families(kind, top), 1, None)
+                     for kind in ("D", "d")}
     rows: list[tuple[HodgeValueKey, Rational]] = []
     for k in range(4, max_k + 1, 2):
         for kind, family in (("D", D), ("d", d)):
-            closed = closed_family(kind, k, (k - 2) // 2)
+            closed = next(closed_from_4[kind])[:(k - 2) // 2 + 1]
             for i, (expected, computed) in enumerate(zip(closed, family[k])):
                 if expected != computed:
                     key = HodgeValueKey(kind, i, k)

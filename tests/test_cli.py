@@ -206,7 +206,8 @@ def test_raised_verification_error_is_the_suite_failure(monkeypatch, capsys):
     assert code == 1
     assert out.splitlines() == [
         "identities: FAILED after 123 passing checks",
-        "identity identities [key=((Fraction(1, 3), Fraction(-2, 1)), 3)]: FAIL",
+        "identity product/elementary-symmetric routes disagree"
+        " [key=((Fraction(1, 3), Fraction(-2, 1)), 3)]: FAIL",
         "  computed: -1/2",
         "  expected: 5/7",
     ]

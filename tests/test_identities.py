@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperhodge import identities, kernels
 from hyperhodge.algebra import DensePolynomial
-from hyperhodge.errors import DomainError
+from hyperhodge.errors import DomainError, VerificationError
 from hyperhodge.identities import (IdentityReport, P_poly, Q_poly,
                                    alternating_power_sum, eqn_check,
                                    hat_root_values, hat_transform,
@@ -71,6 +72,50 @@ def test_product_vanishing_odd_bound(values):
     assert product_vanishing_sum(values, 2 * len(values) - 1) == 0
 
 
+def reference_routes(values, bound):
+    """Both routes of the sum in Fraction arithmetic, term by term."""
+    direct = Fraction(0)
+    for k in range(bound + 1):
+        product = Fraction((-1) ** k * comb(bound, k))
+        for v in values:
+            product *= v - k
+        direct += product
+    e = [Fraction(1)]  # e_0..e_n of the values
+    for v in values:
+        e = [a + v * b for a, b in zip(e + [0], [0] + e)]
+    n = len(values)
+    expanded = sum(((-1) ** r * e[n - r] * alternating_power_sum(bound, r)
+                    for r in range(n + 1)), Fraction(0))
+    return direct, expanded
+
+
+draw_values = st.lists(
+    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 20)),
+    min_size=1, max_size=10)
+
+
+@settings(deadline=None)
+@given(draw_values, st.booleans())
+def test_product_vanishing_matches_fraction_routes(values, odd):
+    bound = 2 * len(values) - 1 if odd else 2 * len(values)
+    direct, expanded = reference_routes(values, bound)
+    assert direct == expanded
+    assert product_vanishing_sum(values, bound) == direct
+
+
+def test_product_vanishing_route_disagreement_raises(monkeypatch):
+    real = identities.alternating_power_sum
+    monkeypatch.setattr(identities, "alternating_power_sum",
+                        lambda m, p: real(m, p) + (p == 0))
+    values = [Fraction(1, 3), Fraction(-2)]
+    with pytest.raises(VerificationError) as caught:
+        product_vanishing_sum(values, 3)
+    assert caught.value.key == (tuple(values), 3)
+    assert caught.value.expected == reference_routes(values, 3)[0] == 0
+    # the r = 0 term gained e_2(values) = -2/3
+    assert caught.value.computed == Fraction(-2, 3)
+
+
 def test_product_vanishing_bound_validation():
     with pytest.raises(DomainError):
         product_vanishing_sum([Fraction(1)], 3)
@@ -124,6 +169,45 @@ def test_Q_poly_vanishes_from_one():
         assert Q_poly(g).is_zero(), g
     with pytest.raises(DomainError):
         Q_poly(0)
+
+
+def scratch_alternating_sum(order, top, g):
+    """The P/Q sum with every product built from scratch."""
+    total = DensePolynomial.zero()
+    for j in range(order + 1):
+        block = kernels.linear_product(
+            [(top - j - 2 * (n - 1), 1) for n in range(1, g + 1)])
+        total = total + (-1) ** j * comb(order, j) * DensePolynomial(
+            [c for c, _ in block])
+    return total
+
+
+def test_P_and_Q_match_products_built_from_scratch():
+    for g in range(1, 31):
+        assert P_poly(g) == scratch_alternating_sum(2 * g - 1, 2 * g - 1, g)
+        assert Q_poly(g) == scratch_alternating_sum(2 * g, 2 * g + 1, g)
+
+
+def test_window_blocks_are_the_products_built_from_scratch():
+    for g in range(1, 31):
+        for order, top in ((2 * g - 1, 2 * g - 1), (2 * g, 2 * g + 1)):
+            blocks = list(identities._window_blocks(order, top, g))
+            assert len(blocks) == order + 1
+            for j, block in enumerate(blocks):
+                scratch = kernels.linear_product(
+                    [(top - j - 2 * n, 1) for n in range(g)])
+                assert block == [c for c, _ in scratch], (g, top, j)
+
+
+def test_exact_division_by_a_linear_factor():
+    # (1 + 2t)(1 - 3t) = 1 - t - 6t^2
+    assert identities._divide_linear([1, -1, -6], 2) == [1, -3]
+    assert identities._divide_linear([1, -1, -6], -3) == [1, 2]
+    with pytest.raises(VerificationError) as caught:
+        identities._divide_linear([1, -1, -5], 2)
+    assert caught.value.key == ((1, -1, -5), 2)
+    assert caught.value.expected == 0
+    assert caught.value.computed == 1
 
 
 def test_Q_poly_g1_by_hand():

@@ -202,6 +202,19 @@ def test_memo_shared_between_threads():
     assert failures == []
 
 
+@pytest.mark.parametrize("kind", ["D", "d"])
+@pytest.mark.parametrize("degree", [0, 5, 39, 45])
+def test_closed_families_is_closed_family_at_every_k(kind, degree):
+    families = values.closed_families(kind, degree)
+    for k in range(2, 81, 2):
+        assert next(families) == values.closed_family(kind, k, degree), k
+
+
+def test_closed_families_rejects_unknown_kind():
+    with pytest.raises(DomainError):
+        next(values.closed_families("x", 3))
+
+
 def test_recursion_never_reads_the_closed_forms(monkeypatch):
     def refuse(*args):
         raise AssertionError("the recursion read the closed form")
