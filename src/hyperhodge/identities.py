@@ -36,7 +36,7 @@ from math import comb, lcm
 from . import kernels
 from .algebra import DensePolynomial, Rational, ZERO, _coerce
 from .errors import DomainError, VerificationError
-from .values import closed_families, recursion_step
+from .values import closed_families, recursion_step, times_linear
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,6 @@ def _linear_product(factors) -> list[int]:
     return [c for c, _ in kernels.linear_product([(c, 1) for c in factors])]
 
 
-def _times_linear(coeffs: list[int], c: int) -> list[int]:
-    # coeffs * (1 + c*t), one degree longer
-    return [a + c * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-
-
 def _divide_linear(coeffs: list[int], c: int) -> list[int]:
     """coeffs / (1 + c*t), one degree shorter, by exact division.
 
@@ -209,7 +204,7 @@ def _window_blocks(order: int, top: int, g: int):
         if j < 2:
             chains.append(_linear_product(top - j - 2 * n for n in range(g)))
         else:
-            chains[j % 2] = _times_linear(
+            chains[j % 2] = times_linear(
                 _divide_linear(chains[j % 2], top - j + 2),
                 top - j - 2 * (g - 1))
         yield chains[j % 2]

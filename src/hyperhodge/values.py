@@ -38,9 +38,9 @@ The coefficient of t**i in V(t) * W(-t) is the lambda-class splitting sum
 sum((-1)**l * V_{i-l} * W_l), and the recursion's factor 2 cancels the 1/2
 the scaling leaves on each product, so the step needs no denominators.
 ``recursion_step`` is that one step; ``identities.eqn_check`` feeds it the
-closed-form families, which ``closed_family`` builds as those integer
-products and ``closed_families`` builds for k = 2, 4, ... in turn, one
-factor per step.  ``closed_D`` and ``closed_d`` unscale one coefficient of
+closed-form families, which ``closed_families`` builds as those integer
+products for k = 2, 4, ... in turn, one factor per step; ``closed_family``
+reads the one at a single k.  ``closed_D`` and ``closed_d`` unscale one coefficient of
 them, and ``table`` compares the two routes' integer families coefficient
 by coefficient.
 
@@ -142,33 +142,33 @@ def _check_even_k(k: int, minimum: int) -> None:
         raise DomainError(f"k must be >= {minimum}, got {k}")
 
 
-def closed_family(kind: str, k: int, degree: int) -> list[int]:
-    """Coefficients 0..degree of the scaled closed family ``kind`` at k.
-
-    prod(1 + (2n-1)t) for 'D' and prod(1 + 2nt) for 'd', over n in
-    1..(k-2)/2: the coefficient of t**i is 2**(i+1) times D(i, k) or
-    d(i, k), and those above the genus are zero.
-    """
-    if kind not in ("D", "d"):
-        raise DomainError(f"kind must be 'D' or 'd', not {kind!r}")
-    offset = 1 if kind == "D" else 0
-    factors = [(2 * n - offset, 1) for n in range(1, k // 2)]
-    coeffs = [c for c, _ in kernels.linear_product(factors, max_degree=degree)]
-    return coeffs + [0] * (degree + 1 - len(coeffs))
+def times_linear(coeffs: list[int], c: int,
+                 degree: Optional[int] = None) -> list[int]:
+    """coeffs * (1 + c*t) on ints, dropping coefficients above ``degree``."""
+    out = [a + c * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return out if degree is None else out[:degree + 1]
 
 
 def closed_families(kind: str, degree: int) -> Iterator[list[int]]:
-    """``closed_family(kind, k, degree)`` for k = 2, 4, 6, ... in turn.
+    """Coefficients 0..degree of the scaled closed family ``kind`` at k = 2, 4, ...
 
-    One incremental product: the family at k is the one at k - 2 times
-    1 + (k-3)t for 'D' or 1 + (k-2)t for 'd', truncated at ``degree``.
+    prod(1 + (2n-1)t) for 'D' and prod(1 + 2nt) for 'd', over n in
+    1..(k-2)/2: the coefficient of t**i is 2**(i+1) times D(i, k) or
+    d(i, k), and those above the genus are zero.  One incremental product:
+    the family at k is the one at k - 2 times 1 + (k-3)t for 'D' or
+    1 + (k-2)t for 'd', truncated at ``degree``.
     """
     if kind not in ("D", "d"):
         raise DomainError(f"kind must be 'D' or 'd', not {kind!r}")
     coeffs = [1] + [0] * degree
     for c in count(1 if kind == "D" else 2, 2):  # the next factor 1 + ct
         yield coeffs
-        coeffs = coeffs[:1] + [a + c * b for a, b in zip(coeffs[1:], coeffs)]
+        coeffs = times_linear(coeffs, c, degree)
+
+
+def closed_family(kind: str, k: int, degree: int) -> list[int]:
+    """The family ``closed_families(kind, degree)`` yields at k."""
+    return next(islice(closed_families(kind, degree), k // 2 - 1, None))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperhodge import values
+from hyperhodge import kernels, values
 from hyperhodge.errors import DomainError, VerificationError
 from hyperhodge.values import (FAULT_INJECTION, HodgeValueKey, MemoTable,
                                base_value, closed_D, closed_d, recursive_D,
@@ -202,12 +202,29 @@ def test_memo_shared_between_threads():
     assert failures == []
 
 
+def scratch_closed_family(kind, k, degree):
+    """The closed family at k as one truncated product built from scratch."""
+    offset = 1 if kind == "D" else 0
+    factors = [(2 * n - offset, 1) for n in range(1, k // 2)]
+    coeffs = [c for c, _ in kernels.linear_product(factors, max_degree=degree)]
+    return coeffs + [0] * (degree + 1 - len(coeffs))
+
+
 @pytest.mark.parametrize("kind", ["D", "d"])
 @pytest.mark.parametrize("degree", [0, 5, 39, 45])
-def test_closed_families_is_closed_family_at_every_k(kind, degree):
+def test_closed_families_are_products_built_from_scratch(kind, degree):
     families = values.closed_families(kind, degree)
     for k in range(2, 81, 2):
-        assert next(families) == values.closed_family(kind, k, degree), k
+        expected = scratch_closed_family(kind, k, degree)
+        assert next(families) == expected, k
+        assert values.closed_family(kind, k, degree) == expected, k
+
+
+def test_times_linear_multiplies_and_truncates():
+    # (1 - t - 6t^2)(1 + 2t) = 1 + t - 8t^2 - 12t^3
+    assert values.times_linear([1, -1, -6], 2) == [1, 1, -8, -12]
+    assert values.times_linear([1, -1, -6], 2, degree=2) == [1, 1, -8]
+    assert values.times_linear([1], 5, degree=0) == [1]
 
 
 def test_closed_families_rejects_unknown_kind():
