@@ -40,9 +40,9 @@ the scaling leaves on each product, so the step needs no denominators.
 ``recursion_step`` is that one step; ``identities.eqn_check`` feeds it the
 closed-form families, which ``closed_families`` builds as those integer
 products for k = 2, 4, ... in turn, one factor per step; ``closed_family``
-reads the one at a single k.  ``closed_D`` and ``closed_d`` unscale one coefficient of
-them, and ``table`` compares the two routes' integer families coefficient
-by coefficient.
+reads the one at a single k.  ``closed_D`` and ``closed_d`` unscale one
+coefficient of them, and ``table`` compares the two routes' integer
+families coefficient by coefficient.
 
 Base values: D(1, 4) = 1/4, D(0, k) = d(0, k) = 1/2, and zero for i > g; the
 k = 2 conventions (1/2 for i = 0, else 0) give A_2 = a_2 = 1 and make the
@@ -150,7 +150,7 @@ def times_linear(coeffs: list[int], c: int,
 
 
 def closed_families(kind: str, degree: int) -> Iterator[list[int]]:
-    """Coefficients 0..degree of the scaled closed family ``kind`` at k = 2, 4, ...
+    """Coefficients 0..degree of the scaled closed family at k = 2, 4, ...
 
     prod(1 + (2n-1)t) for 'D' and prod(1 + 2nt) for 'd', over n in
     1..(k-2)/2: the coefficient of t**i is 2**(i+1) times D(i, k) or
@@ -275,8 +275,9 @@ def table(max_k: int) -> list[tuple[HodgeValueKey, Rational]]:
     bottom-up in k through max_k and to the top degree (max_k - 2) / 2, with
     the one ``recursion_step`` per family.  For each k in ascending order, D
     before d, each family is then compared coefficient by coefficient with
-    ``closed_family``, so the first mismatch is at the key where the routes
-    first part; it raises VerificationError naming the key and both values.
+    the one ``closed_families`` yields, so the first mismatch is at the key
+    where the routes first part; it raises VerificationError naming the key
+    and both values.
     Rows come back sorted by (kind, k, i).
     """
     _check_even_k(max_k, 4)
