@@ -15,9 +15,10 @@ from .identities import (IdentityReport, P_poly, Q_poly,
                          hat_transform, product_vanishing_sum)
 from .localization import (ContributionTemplate, LocalizationGraph,
                            VertexModuli, auxiliary_integral,
-                           contribution_template, enumerate_family,
-                           graph_contribution, localization_D,
-                           localization_d, vertex_integral, vertex_moduli_of)
+                           auxiliary_integrals, contribution_template,
+                           enumerate_family, graph_contribution,
+                           localization_D, localization_d, vertex_integral,
+                           vertex_moduli_of)
 from .symmetric import elementary, gen_product, signed_convolution
 from .values import (FAULT_INJECTION, HodgeValueKey, MemoTable, base_value,
                      closed_D, closed_d, recursive_D, recursive_d, table)
@@ -47,6 +48,7 @@ __all__ = [
     "VertexModuli",
     "alternating_power_sum",
     "auxiliary_integral",
+    "auxiliary_integrals",
     "base_value",
     "closed_D",
     "closed_d",

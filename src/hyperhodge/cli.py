@@ -119,11 +119,11 @@ def run_localization_suite(max_k: int) -> SuiteOutcome:
     zero = LaurentPolynomial.zero()
     return _run("localization", (
         IdentityReport("auxiliary-integral vanishing",
-                       (("kind", kind), ("k", k), ("i", i)),
-                       localization.auxiliary_integral(kind, k, i), zero)
+                       (("kind", kind), ("k", k), ("i", i)), integral, zero)
         for kind, k_min in (("A", 6), ("B", 4))
         for k in range(k_min, max_k + 1, 2)
-        for i in range((k - 2) // 2 + 1)))
+        for i, integral in enumerate(
+            localization.auxiliary_integrals(kind, k))))
 
 
 # ---------------------------------------------------------------------------

@@ -34,15 +34,25 @@ infinity) and kind "B" integrates ev_1*(0) ev_2*(0) lambda_i.  Both live on
 a k-dimensional space and sit in degree k - 1 < k resp. k - 2 < k, so the
 full graph sum must vanish identically in t; extracting the j = 0 family
 from that vanishing reproduces the recursions in values.py.
+
+Each graph is evaluated for every i at once, on ints.  A series vertex of
+dimension m pairs psi**(m-l) with lambda_l, a D or d value: its family over
+l is the scaled closed one off values.closed_families, cut at l = m and
+negated where s < 0 and m - l is even.  The lambda_i splitting is the t**i
+coefficient of the families' convolution conv, and the graph adds
++-multiplicity * conv[i] / 2**(i+1) at t**(t_power_fixed + i - sum(m+1)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import Literal
 
-from .algebra import HALF, LaurentPolynomial, Rational, ZERO, laurent_sum
+from . import values
+from .algebra import HALF, LaurentPolynomial, Rational, ZERO
 from .errors import DomainError, VerificationError
 from .values import _check_even_k, closed_D, closed_d
 
@@ -121,22 +131,21 @@ def enumerate_family(kind: FamilyKind, k: int, j: int
     (k >= 4): points 1, 2 over 0, j of the remaining k-2 points over
     infinity; C(k-2, j) labellings.
     """
-    if kind == "A":
-        _check_even_k(k, 6)
-        if not 0 <= j <= k - 3:
-            raise DomainError(f"family index j={j} outside 0..{k - 3}")
-        infty = frozenset({3}) | frozenset(range(k - j + 1, k + 1))
-        multiplicity = comb(k - 3, j)
-    elif kind == "B":
-        _check_even_k(k, 4)
-        if not 0 <= j <= k - 2:
-            raise DomainError(f"family index j={j} outside 0..{k - 2}")
-        infty = frozenset(range(k - j + 1, k + 1))
-        multiplicity = comb(k - 2, j)
-    else:
-        raise DomainError(f"family kind must be 'A' or 'B', not {kind!r}")
+    free = _free_labels(kind, k)
+    if not 0 <= j <= free:
+        raise DomainError(f"family index j={j} outside 0..{free}")
+    infty = frozenset(range(k - j + 1, k + 1))
+    infty |= {3} if kind == "A" else set()
     zero = frozenset(range(1, k + 1)) - infty
-    return LocalizationGraph(k, zero, infty), multiplicity
+    return LocalizationGraph(k, zero, infty), comb(free, j)
+
+
+def _free_labels(kind: FamilyKind, k: int) -> int:
+    # labels the insertion leaves free; family j puts j of them over infinity
+    if kind not in ("A", "B"):
+        raise DomainError(f"family kind must be 'A' or 'B', not {kind!r}")
+    _check_even_k(k, 6 if kind == "A" else 4)
+    return k - 3 if kind == "A" else k - 2
 
 
 def vertex_moduli_of(graph: LocalizationGraph
@@ -206,59 +215,89 @@ def graph_contribution(graph: LocalizationGraph, multiplicity: int,
                        insertion: FamilyKind, i: int) -> LaurentPolynomial:
     """The graph's exact contribution to the kind-``insertion`` integral.
 
-    Expands each vertex's 1/(s*t - psi) to its dimension, splits lambda_i
-    across the vertices, and evaluates every psi/lambda pairing through
-    vertex_integral.  The result is supported on a single power of t.
+    Read off the convolution of its vertices' signed closed families (see
+    the module docstring); supported on a single power of t.
     """
-    template = contribution_template(graph, multiplicity, insertion)
+    power, numerators = _graph_numerators(graph, multiplicity, insertion,
+                                          _vertex_families(graph.k))
     if i < 0:
         raise DomainError("lambda index i must be >= 0")
-    terms: list[tuple[int, Rational]] = []
-    for split in _lambda_splits(len(template.series_vertices), i):
-        coefficient = template.prefactor
-        t_power = template.t_power_fixed
-        for vertex, part in zip(template.series_vertices, split):
-            psi_power = vertex.dimension - part
-            if psi_power < 0:
-                coefficient = ZERO
-                break
-            value = vertex_integral(vertex.twisted, vertex.untwisted,
-                                    psi_power, part)
-            if not value:
-                coefficient = ZERO
-                break
-            # 1/(s*t - psi) contributes psi**m * s**(m+1) / t**(m+1)
-            if vertex.sign < 0 and psi_power % 2 == 0:
-                value = -value
-            coefficient *= value
-            t_power -= psi_power + 1
-        if coefficient:
-            terms.append((t_power, coefficient))
-    return LaurentPolynomial(terms)
+    return _unscaled({power + i: numerators[i]} if i < len(numerators)
+                     else {}, i)
 
 
-def _lambda_splits(vertex_count: int, i: int):
-    # All ways to distribute lambda_i across the series vertices; a split
-    # landing on no vertex only supports i == 0 (lambda_0 = 1).
-    if vertex_count == 0:
-        return [()] if i == 0 else []
-    if vertex_count == 1:
-        return [(i,)]
-    return [(i - ell, ell) for ell in range(i + 1)]
+def _vertex_families(k: int) -> dict[str, list[list[int]]]:
+    # the scaled closed D and d families at k' = 2, 4, ..., k (no vertex of
+    # a k-point graph has more), to their highest nonzero degree (k-2)/2
+    degree = (k - 2) // 2
+    return {kind: list(islice(values.closed_families(kind, degree), k // 2))
+            for kind in ("D", "d")}
+
+
+def _graph_numerators(graph: LocalizationGraph, multiplicity: int,
+                      insertion: FamilyKind, families) -> tuple[int, list]:
+    # (power, numerators): the graph adds numerators[i] / 2**(i+1) at
+    # t**(power + i), and nothing past the list.  The prefactor is
+    # +-multiplicity * 2**(n-1), and the n families' scaling leaves 2**(i+n).
+    template = contribution_template(graph, multiplicity, insertion)
+    series = template.series_vertices
+    numerators = [int(template.prefactor * 2 / 2 ** len(series))]
+    power = template.t_power_fixed
+    for vertex in series:
+        m = vertex.dimension
+        family = families["D" if vertex.untwisted == 0 else "d"]
+        family = family[vertex.twisted // 2 - 1][:m + 1]
+        family = [-c if vertex.sign < 0 and (m - ell) % 2 == 0 else c
+                  for ell, c in enumerate(family)]
+        numerators = _convolve(numerators, family)
+        power -= m + 1
+    return power, numerators
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for p, x in enumerate(a):
+        for q, y in enumerate(b):
+            out[p + q] += x * y
+    return out
+
+
+def _graph_sum(kind: FamilyKind, k: int, first_j: int) -> dict[int, dict]:
+    # lambda index i -> t-power -> summed numerators of families first_j..
+    free = _free_labels(kind, k)
+    families = _vertex_families(k)
+    sums: dict[int, dict[int, int]] = {}
+    for j in range(first_j, free + 1):
+        graph, multiplicity = enumerate_family(kind, k, j)
+        power, numerators = _graph_numerators(graph, multiplicity, kind,
+                                              families)
+        for i, numerator in enumerate(numerators):
+            terms = sums.setdefault(i, {})
+            terms[power + i] = terms.get(power + i, 0) + numerator
+    return sums
+
+
+def _unscaled(numerators: dict[int, int], i: int) -> LaurentPolynomial:
+    return LaurentPolynomial((power, Fraction(numerator, 2 ** (i + 1)))
+                             for power, numerator in numerators.items())
+
+
+def auxiliary_integrals(kind: FamilyKind, k: int) -> list[LaurentPolynomial]:
+    """The full graph sum for every i = 0..(k-2)/2; each must come out zero.
+
+    One pass over the graphs.  Returned (rather than asserted) so callers
+    can check emptiness and report any survivor terms.
+    """
+    sums = _graph_sum(kind, k, 0)
+    return [_unscaled(sums.get(i, {}), i) for i in range((k - 2) // 2 + 1)]
 
 
 def auxiliary_integral(kind: FamilyKind, k: int, i: int) -> LaurentPolynomial:
-    """The full graph sum for the kind-``kind`` integral; must come out zero.
-
-    Returned (rather than asserted) so callers can check emptiness and report
-    any survivor terms.
-    """
-    j_top = k - 3 if kind == "A" else k - 2
-    parts = []
-    for j in range(j_top + 1):
-        graph, multiplicity = enumerate_family(kind, k, j)
-        parts.append(graph_contribution(graph, multiplicity, kind, i))
-    return laurent_sum(parts)
+    """The full graph sum for lambda_i; zero once i exceeds (k-2)/2."""
+    integrals = auxiliary_integrals(kind, k)
+    if i < 0:
+        raise DomainError("lambda index i must be >= 0")
+    return integrals[i] if i < len(integrals) else LaurentPolynomial.zero()
 
 
 def localization_D(i: int, k: int) -> Rational:
@@ -268,23 +307,19 @@ def localization_D(i: int, k: int) -> Rational:
     the full sum therefore pins D(i, k) to minus the remaining families'
     coefficient at that power.
     """
-    _check_even_k(k, 6)
     return _extract("A", k, i, expected_power=i - (k - 3))
 
 
 def localization_d(i: int, k: int) -> Rational:
     """d(i, k) re-derived from the graph sum alone (j = 0 family isolated)."""
-    _check_even_k(k, 4)
     return _extract("B", k, i, expected_power=i - (k - 2))
 
 
 def _extract(kind: FamilyKind, k: int, i: int, expected_power: int) -> Rational:
-    j_top = k - 3 if kind == "A" else k - 2
-    parts = []
-    for j in range(1, j_top + 1):
-        graph, multiplicity = enumerate_family(kind, k, j)
-        parts.append(graph_contribution(graph, multiplicity, kind, i))
-    rest = laurent_sum(parts)
+    sums = _graph_sum(kind, k, 1)
+    if i < 0:
+        raise DomainError("lambda index i must be >= 0")
+    rest = _unscaled(sums.get(i, {}), i)
     stray = set(rest.support()) - {expected_power}
     if stray:
         raise VerificationError(

@@ -174,19 +174,22 @@ def closed_family(kind: str, k: int, degree: int) -> list[int]:
 @lru_cache(maxsize=None)
 def closed_D(i: int, k: int) -> Rational:
     """(1/2)**(i+1) * e_i(1, 3, ..., k-3); zero once i exceeds (k-2)/2."""
-    _check_even_k(k, 4)
-    if i < 0:
-        raise DomainError("lambda index i must be >= 0")
-    return _unscale(closed_family("D", k, i)[i], i)
+    return _closed_value("D", i, k)
 
 
 @lru_cache(maxsize=None)
 def closed_d(i: int, k: int) -> Rational:
     """(1/2)**(i+1) * e_i(2, 4, ..., k-2); zero once i exceeds (k-2)/2."""
-    _check_even_k(k, 2)
+    return _closed_value("d", i, k)
+
+
+def _closed_value(kind: str, i: int, k: int) -> Rational:
+    _check_even_k(k, 4 if kind == "D" else 2)
     if i < 0:
         raise DomainError("lambda index i must be >= 0")
-    return _unscale(closed_family("d", k, i)[i], i)
+    if i > (k - 2) // 2:  # e_i of g numbers; no degree-i family needed
+        return ZERO
+    return _unscale(closed_family(kind, k, i)[i], i)
 
 
 def base_value(key: HodgeValueKey) -> Optional[Rational]:

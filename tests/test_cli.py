@@ -166,6 +166,14 @@ def test_verify_prints_pinned_suite_counts():
                    "all suites passed\n")
 
 
+def test_localization_sweep_output_is_pinned():
+    # the benchmark's localization_sweep command, as a fresh process
+    done = run_subprocess("verify-localization", "--max-k", "50")
+    assert done.returncode == 0
+    assert done.stdout == ("localization: 646 checks passed\n"
+                           "all suites passed\n")
+
+
 def test_product_vanishing_draws_follow_max_g():
     code, out = run_cli("verify-identities", "--max-g", "1")
     assert code == 0

@@ -1,13 +1,16 @@
 """Graph enumeration, vertex moduli, contributions, and the vanishing sums."""
 
 from fractions import Fraction
+from itertools import count
 from math import comb
 
 import pytest
 
-from hyperhodge.algebra import LaurentPolynomial
+from hyperhodge import cli, values
+from hyperhodge.algebra import LaurentPolynomial, laurent_sum
 from hyperhodge.errors import DomainError
 from hyperhodge.localization import (LocalizationGraph, auxiliary_integral,
+                                     auxiliary_integrals,
                                      contribution_template, enumerate_family,
                                      graph_contribution, localization_D,
                                      localization_d, vertex_integral,
@@ -203,3 +206,144 @@ def test_graph_sum_rederives_D_recursion(k):
 def test_graph_sum_rederives_d_recursion(k):
     for i in range((k - 2) // 2 + 1):
         assert localization_d(i, k) == recursive_d(i, k)
+
+
+def test_graph_sum_rejects_bad_input():
+    for bad in (("C", 8), ("A", 4), ("A", 7), ("B", 2), ("B", -2)):
+        with pytest.raises(DomainError):
+            auxiliary_integrals(*bad)
+        with pytest.raises(DomainError):
+            auxiliary_integral(*bad, 0)
+    with pytest.raises(DomainError):
+        auxiliary_integral("B", 8, -1)
+    with pytest.raises(DomainError):
+        localization_D(-1, 8)
+    with pytest.raises(DomainError):
+        localization_d(0, 5)
+
+
+def test_graph_sum_never_reads_the_recursion(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph sum read the recursion")
+
+    for name in ("recursion_step", "MemoTable", "recursive_D", "recursive_d",
+                 "base_value"):
+        monkeypatch.setattr(values, name, refuse)
+    assert all(p.is_zero() for p in auxiliary_integrals("A", 16))
+    assert localization_d(2, 8) == Fraction(11, 2)
+
+
+# ---------------------------------------------------------------------------
+# the per-graph convolution against the split-by-split Fraction route
+
+
+def reference_contribution(graph, multiplicity, insertion, i):
+    """A graph's contribution with lambda_i split vertex by vertex.
+
+    Every split of i over the series vertices is evaluated through
+    vertex_integral and multiplied out in Fractions, one at a time.
+    """
+    template = contribution_template(graph, multiplicity, insertion)
+    series = template.series_vertices
+    if len(series) == 0:
+        splits = [()] if i == 0 else []
+    elif len(series) == 1:
+        splits = [(i,)]
+    else:
+        splits = [(i - ell, ell) for ell in range(i + 1)]
+    terms = []
+    for split in splits:
+        coefficient, t_power = template.prefactor, template.t_power_fixed
+        for vertex, part in zip(series, split):
+            psi_power = vertex.dimension - part
+            value = vertex_integral(vertex.twisted, vertex.untwisted,
+                                    psi_power, part)
+            # 1/(s*t - psi) contributes psi**m * s**(m+1) / t**(m+1)
+            if vertex.sign < 0 and psi_power % 2 == 0:
+                value = -value
+            coefficient *= value
+            t_power -= psi_power + 1
+        terms.append((t_power, coefficient))
+    return LaurentPolynomial(terms)
+
+
+def reference_integral(kind, k, i):
+    top = k - 3 if kind == "A" else k - 2
+    return laurent_sum(reference_contribution(*enumerate_family(kind, k, j),
+                                              kind, i)
+                       for j in range(top + 1))
+
+
+def graph_cases(k_max):
+    for kind, k_min in (("A", 6), ("B", 4)):
+        for k in range(k_min, k_max + 1, 2):
+            yield kind, k
+
+
+@pytest.mark.parametrize("kind,k", list(graph_cases(24)) + [("A", 60)])
+def test_convolution_matches_the_split_route(kind, k):
+    # k = 60 has multiplicities C(57, j) far above 2**53
+    top = k - 3 if kind == "A" else k - 2
+    i_top = (k - 2) // 2 + 1 if k <= 24 else 1
+    for j in range(top + 1):
+        graph, mult = enumerate_family(kind, k, j)
+        for i in range(i_top + 1):
+            assert graph_contribution(graph, mult, kind, i) \
+                == reference_contribution(graph, mult, kind, i), (j, i)
+
+
+@pytest.mark.parametrize("kind,k", list(graph_cases(30)))
+def test_bulk_graph_sum_matches_the_single_queries(kind, k):
+    integrals = auxiliary_integrals(kind, k)
+    assert len(integrals) == (k - 2) // 2 + 1
+    for i in range(len(integrals) + 1):
+        expected = integrals[i] if i < len(integrals) else LaurentPolynomial()
+        assert auxiliary_integral(kind, k, i) == expected
+
+
+@pytest.fixture
+def faulty_d8(monkeypatch):
+    """values.closed_families with 2**3 * d(2, 8) off by one."""
+    genuine = values.closed_families
+
+    def faulty(kind, degree):
+        for k, family in zip(count(2, 2), genuine(kind, degree)):
+            if kind == "d" and k == 8 and degree >= 2:
+                family = family[:2] + [family[2] + 1] + family[3:]
+            yield family
+
+    # the closed values are cached; keep faulty ones out of other tests
+    closed_D.cache_clear()
+    closed_d.cache_clear()
+    monkeypatch.setattr(values, "closed_families", faulty)
+    yield
+    closed_D.cache_clear()
+    closed_d.cache_clear()
+
+
+def test_fault_in_a_closed_family_fails_the_sweep(faulty_d8, capsys):
+    assert closed_d(2, 8) == Fraction(45, 8)  # the fault is live
+    first = next((kind, k, i, survivor)
+                 for kind, k in graph_cases(12)
+                 for i in range((k - 2) // 2 + 1)
+                 for survivor in [reference_integral(kind, k, i)]
+                 if not survivor.is_zero())
+    kind, k, i, survivor = first
+    assert cli.main(["verify-localization", "--max-k", "12"]) == 1
+    out = capsys.readouterr().out
+    assert "localization: FAILED after" in out
+    assert f"[kind={kind}, k={k}, i={i}]: FAIL\n" in out
+    assert f"  computed: {survivor}\n" in out
+
+
+def test_fault_survivors_match_the_split_route(faulty_d8):
+    survivors = {(kind, k, i): integral
+                 for kind, k in graph_cases(30)
+                 for i, integral in enumerate(auxiliary_integrals(kind, k))
+                 if not integral.is_zero()}
+    expected = {(kind, k, i): reference_integral(kind, k, i)
+                for kind, k in graph_cases(30)
+                for i in range((k - 2) // 2 + 1)}
+    assert survivors
+    assert survivors == {key: integral for key, integral in expected.items()
+                         if not integral.is_zero()}

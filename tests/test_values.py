@@ -80,6 +80,16 @@ def test_vanishing_beyond_genus():
         assert recursive_d(g + 1, k) == 0
 
 
+def test_closed_forms_above_the_genus_build_no_family():
+    # a degree-i family would take seconds and hundreds of MB to say 0;
+    # __wrapped__ bypasses the lru_cache, so the call is cold
+    start = time.perf_counter()
+    assert closed_D.__wrapped__(10 ** 7, 40) == 0
+    assert closed_d.__wrapped__(10 ** 7, 40) == 0
+    assert time.perf_counter() - start < 1.0
+    assert closed_D(10 ** 7, 40) == closed_d(10 ** 7, 40) == 0
+
+
 def test_positivity_within_genus():
     for k in range(4, 30, 2):
         for i in range((k - 2) // 2 + 1):
