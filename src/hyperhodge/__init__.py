@@ -20,8 +20,8 @@ from .localization import (ContributionTemplate, LocalizationGraph,
                            localization_D, localization_d, vertex_integral,
                            vertex_moduli_of)
 from .symmetric import elementary, gen_product, signed_convolution
-from .values import (FAULT_INJECTION, HodgeValueKey, MemoTable, base_value,
-                     closed_D, closed_d, recursive_D, recursive_d, table)
+from .values import (HodgeValueKey, MemoTable, base_value, closed_D, closed_d,
+                     recursive_D, recursive_d, table)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "ContributionTemplate",
     "DensePolynomial",
     "DomainError",
-    "FAULT_INJECTION",
     "HodgeValueKey",
     "IdentityReport",
     "KERNEL_BACKEND",

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, lcm
 
 from . import kernels
 from .algebra import DensePolynomial, Rational, ZERO, _coerce
 from .errors import DomainError, VerificationError
-from .values import closed_families, recursion_step, times_linear
+from .values import closed_families, recursion_step
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def product_vanishing_sum(m_values, bound: int) -> Rational:
         direct = direct + product if k % 2 == 0 else direct - product
 
     # prod(M_i - k*L) = sum((-1)**r * e_{n-r}(M) * (k*L)**r)
-    e = _linear_product(M)
+    e = reduce(kernels.times_linear, M, [1])
     expanded = 0
     for r in range(n + 1):
         term = e[n - r] * L ** r * alternating_power_sum(bound, r)
@@ -136,11 +137,6 @@ def eqn_check(g: int) -> IdentityReport:
         computed=DensePolynomial(recursion_step("D", k, D, d, g)),
         expected=DensePolynomial(D[k]),
     )
-
-
-def _linear_product(factors) -> list[int]:
-    # prod(1 + c*t) over integer factors c, as integer coefficients
-    return [c for c, _ in kernels.linear_product([(c, 1) for c in factors])]
 
 
 def _divide_linear(coeffs: list[int], c: int) -> list[int]:
@@ -202,9 +198,10 @@ def _window_blocks(order: int, top: int, g: int):
     chains = []
     for j in range(order + 1):
         if j < 2:
-            chains.append(_linear_product(top - j - 2 * n for n in range(g)))
+            chains.append(reduce(kernels.times_linear,
+                                 (top - j - 2 * n for n in range(g)), [1]))
         else:
-            chains[j % 2] = times_linear(
+            chains[j % 2] = kernels.times_linear(
                 _divide_linear(chains[j % 2], top - j + 2),
                 top - j - 2 * (g - 1))
         yield chains[j % 2]

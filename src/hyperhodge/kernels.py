@@ -1,17 +1,18 @@
-"""Arithmetic kernels on exact rational pairs.
+"""Integer polynomial arithmetic, plus rational-pair adapters.
 
-A rational is an ``(num, den)`` pair of Python ints in canonical form:
-``den > 0`` and ``gcd(|num|, den) == 1`` (zero is ``(0, 1)``).  A dense
-polynomial is a list of such pairs indexed by degree.  Everything here is
-exact.
-
-The convolution and product loops clear denominators first and work on plain
-int lists: one lcm up front beats a gcd reduction per intermediate term.
+A polynomial is a coefficient list indexed by degree.  ``convolve`` and
+``times_linear`` (a product with 1 + c*t) are the package's only multiply
+loops; callers pass plain ints, and a ``Fraction`` passes through by
+ordinary arithmetic.  ``poly_mul`` and ``linear_product`` serve the
+``Fraction`` types: they take and return canonical ``(num, den)`` pairs
+(``den > 0``, ``gcd(|num|, den) == 1``, zero is ``(0, 1)``), clear the
+denominators with one lcm, multiply on ints and ``normalize`` the results.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from typing import Optional
 
 
 def normalize(num, den):
@@ -28,33 +29,42 @@ def normalize(num, den):
     return (num, den)
 
 
-def poly_mul(a, b):
-    """Exact convolution of two dense rational-pair polynomials."""
+def convolve(a: list, b: list, degree: Optional[int] = None) -> list:
+    """a * b, dropping coefficients above ``degree``; [] if either is []."""
     if not a or not b:
         return []
-    den_a = 1
-    for _, d in a:
-        den_a = lcm(den_a, d)
-    den_b = 1
-    for _, d in b:
-        den_b = lcm(den_b, d)
-    ints_a = [n * (den_a // d) for n, d in a]
-    ints_b = [n * (den_b // d) for n, d in b]
-    la = len(ints_a)
-    lb = len(ints_b)
-    conv = [0] * (la + lb - 1)
-    for i in range(la):
-        x = ints_a[i]
-        if not x:
-            continue
-        for j in range(lb):
-            y = ints_b[j]
-            if y:
-                conv[i + j] += x * y
+    size = len(a) + len(b) - 1
+    if degree is not None and degree < size - 1:
+        size = degree + 1
+        a, b = a[:size], b[:size]
+    out = [0] * size
+    for p, x in enumerate(a):
+        if x:
+            row = b if p + len(b) <= size else b[:size - p]
+            for q, y in enumerate(row, p):
+                out[q] += x * y
+    return out
+
+
+def times_linear(coeffs: list[int], c: int,
+                 degree: Optional[int] = None) -> list[int]:
+    """coeffs * (1 + c*t) on ints, dropping coefficients above ``degree``."""
+    out = [a + c * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return out if degree is None else out[:degree + 1]
+
+
+def _cleared(pairs) -> tuple[list[int], int]:
+    # integer numerators over the lcm of the denominators, and that lcm
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def poly_mul(a, b):
+    """Exact convolution of two dense rational-pair polynomials."""
+    ints_a, den_a = _cleared(a)
+    ints_b, den_b = _cleared(b)
     den = den_a * den_b
-    if den == 1:
-        return [(c, 1) for c in conv]
-    return [normalize(c, den) for c in conv]
+    return [normalize(c, den) for c in convolve(ints_a, ints_b)]
 
 
 def linear_product(constants, max_degree=None):
@@ -63,30 +73,13 @@ def linear_product(constants, max_degree=None):
     ``constants`` is a sequence of rational pairs; the empty product is
     ``[(1, 1)]``.  With ``max_degree`` given, coefficients above that degree
     are dropped (the kept ones are unaffected: the recurrence is triangular).
+    With C_j = den * c_j on ints, the coefficient of t**i is
+    e_i(C) / den**i.
     """
-    n = len(constants)
-    cap = n if max_degree is None else min(max_degree, n)
-    if cap < 0:
+    if max_degree is not None and max_degree < 0:
         return []
-    den = 1
-    for _, d in constants:
-        den = lcm(den, d)
-    scaled = [c * (den // d) for c, d in constants]
-    # Integer product of (den + C_j t); divide by den**n at the end.
+    scaled, den = _cleared(constants)
     coeffs = [1]
     for c in scaled:
-        size = min(len(coeffs) + 1, cap + 1)
-        nxt = [0] * size
-        for i in range(len(coeffs)):
-            x = coeffs[i]
-            if not x:
-                continue
-            if i < size:
-                nxt[i] += den * x
-            if i + 1 < size:
-                nxt[i + 1] += c * x
-        coeffs = nxt
-    if den == 1:
-        return [(c, 1) for c in coeffs]
-    whole = den ** n
-    return [normalize(c, whole) for c in coeffs]
+        coeffs = times_linear(coeffs, c, max_degree)
+    return [normalize(e, den ** i) for i, e in enumerate(coeffs)]

@@ -39,8 +39,9 @@ Each graph is evaluated for every i at once, on ints.  A series vertex of
 dimension m pairs psi**(m-l) with lambda_l, a D or d value: its family over
 l is the scaled closed one off values.closed_families, cut at l = m and
 negated where s < 0 and m - l is even.  The lambda_i splitting is the t**i
-coefficient of the families' convolution conv, and the graph adds
-+-multiplicity * conv[i] / 2**(i+1) at t**(t_power_fixed + i - sum(m+1)).
+coefficient of the families' product conv, taken with kernels.convolve, and
+the graph adds +-multiplicity * conv[i] / 2**(i+1) at
+t**(t_power_fixed + i - sum(m+1)).
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from itertools import islice
 from math import comb
 from typing import Literal
 
-from . import values
+from . import kernels, values
 from .algebra import HALF, LaurentPolynomial, Rational, ZERO
 from .errors import DomainError, VerificationError
-from .values import _check_even_k, closed_D, closed_d
+from .values import _check_even_k, _check_index, closed_D, closed_d
 
 Side = Literal["zero", "infty"]
 FamilyKind = Literal["A", "B"]
@@ -220,8 +221,7 @@ def graph_contribution(graph: LocalizationGraph, multiplicity: int,
     """
     power, numerators = _graph_numerators(graph, multiplicity, insertion,
                                           _vertex_families(graph.k))
-    if i < 0:
-        raise DomainError("lambda index i must be >= 0")
+    _check_index(i)
     return _unscaled({power + i: numerators[i]} if i < len(numerators)
                      else {}, i)
 
@@ -249,17 +249,9 @@ def _graph_numerators(graph: LocalizationGraph, multiplicity: int,
         family = family[vertex.twisted // 2 - 1][:m + 1]
         family = [-c if vertex.sign < 0 and (m - ell) % 2 == 0 else c
                   for ell, c in enumerate(family)]
-        numerators = _convolve(numerators, family)
+        numerators = kernels.convolve(numerators, family)
         power -= m + 1
     return power, numerators
-
-
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for p, x in enumerate(a):
-        for q, y in enumerate(b):
-            out[p + q] += x * y
-    return out
 
 
 def _graph_sum(kind: FamilyKind, k: int, first_j: int) -> dict[int, dict]:
@@ -295,8 +287,7 @@ def auxiliary_integrals(kind: FamilyKind, k: int) -> list[LaurentPolynomial]:
 def auxiliary_integral(kind: FamilyKind, k: int, i: int) -> LaurentPolynomial:
     """The full graph sum for lambda_i; zero once i exceeds (k-2)/2."""
     integrals = auxiliary_integrals(kind, k)
-    if i < 0:
-        raise DomainError("lambda index i must be >= 0")
+    _check_index(i)
     return integrals[i] if i < len(integrals) else LaurentPolynomial.zero()
 
 
@@ -317,8 +308,7 @@ def localization_d(i: int, k: int) -> Rational:
 
 def _extract(kind: FamilyKind, k: int, i: int, expected_power: int) -> Rational:
     sums = _graph_sum(kind, k, 1)
-    if i < 0:
-        raise DomainError("lambda index i must be >= 0")
+    _check_index(i)
     rest = _unscaled(sums.get(i, {}), i)
     stray = set(rest.support()) - {expected_power}
     if stray:

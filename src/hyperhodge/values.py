@@ -50,8 +50,10 @@ recursions' extreme summands match the degenerate graphs they encode.  The
 families are built bottom-up in k, A_k before a_k (which reads it), and
 truncated at the highest degree the caller asks for; ``MemoTable`` holds
 them and nothing else.  Each coefficient is first offered to
-``base_value``; the recursion fills in only the rest.  The recursion never
-reads the closed forms.
+``base_value`` (a module global, which tests replace to inject a fault);
+the recursion fills in only the rest.  Scaled base values are stored as
+ints, so the families are plain ints.  The recursion never reads the
+closed forms.
 """
 
 from __future__ import annotations
@@ -63,14 +65,10 @@ from itertools import count, islice
 from typing import Iterator, Optional
 
 from . import kernels
-from .algebra import HALF, Rational, ZERO, as_pairs
+from .algebra import HALF, Rational, ZERO
 from .errors import DomainError, VerificationError
 
 QUARTER = Fraction(1, 4)
-
-#: Test hook: keys mapped here shadow the genuine base values, letting the
-#: verification suites demonstrate failure detection.  Leave empty.
-FAULT_INJECTION: dict["HodgeValueKey", Rational] = {}
 
 
 @dataclass(frozen=True)
@@ -84,10 +82,8 @@ class HodgeValueKey:
     def __post_init__(self):
         if self.kind not in ("D", "d"):
             raise DomainError(f"kind must be 'D' or 'd', not {self.kind!r}")
-        if self.i < 0:
-            raise DomainError("lambda index i must be >= 0")
-        if self.k < 2 or self.k % 2:
-            raise DomainError("k must be an even integer >= 2")
+        _check_index(self.i)
+        _check_even_k(self.k, 2)
 
     @property
     def genus(self) -> int:
@@ -136,17 +132,17 @@ class MemoTable:
 
 
 def _check_even_k(k: int, minimum: int) -> None:
+    if not isinstance(k, int):
+        raise DomainError(f"k must be an integer, got {k!r}")
     if k % 2:
         raise DomainError(f"k must be even, got {k}")
     if k < minimum:
         raise DomainError(f"k must be >= {minimum}, got {k}")
 
 
-def times_linear(coeffs: list[int], c: int,
-                 degree: Optional[int] = None) -> list[int]:
-    """coeffs * (1 + c*t) on ints, dropping coefficients above ``degree``."""
-    out = [a + c * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return out if degree is None else out[:degree + 1]
+def _check_index(i: int) -> None:
+    if not isinstance(i, int) or i < 0:
+        raise DomainError(f"lambda index i must be an integer >= 0, got {i!r}")
 
 
 def closed_families(kind: str, degree: int) -> Iterator[list[int]]:
@@ -163,7 +159,7 @@ def closed_families(kind: str, degree: int) -> Iterator[list[int]]:
     coeffs = [1] + [0] * degree
     for c in count(1 if kind == "D" else 2, 2):  # the next factor 1 + ct
         yield coeffs
-        coeffs = times_linear(coeffs, c, degree)
+        coeffs = kernels.times_linear(coeffs, c, degree)
 
 
 def closed_family(kind: str, k: int, degree: int) -> list[int]:
@@ -171,13 +167,13 @@ def closed_family(kind: str, k: int, degree: int) -> list[int]:
     return next(islice(closed_families(kind, degree), k // 2 - 1, None))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: D(2, 8.0) must not hit D(2, 8)
 def closed_D(i: int, k: int) -> Rational:
     """(1/2)**(i+1) * e_i(1, 3, ..., k-3); zero once i exceeds (k-2)/2."""
     return _closed_value("D", i, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def closed_d(i: int, k: int) -> Rational:
     """(1/2)**(i+1) * e_i(2, 4, ..., k-2); zero once i exceeds (k-2)/2."""
     return _closed_value("d", i, k)
@@ -185,8 +181,7 @@ def closed_d(i: int, k: int) -> Rational:
 
 def _closed_value(kind: str, i: int, k: int) -> Rational:
     _check_even_k(k, 4 if kind == "D" else 2)
-    if i < 0:
-        raise DomainError("lambda index i must be >= 0")
+    _check_index(i)
     if i > (k - 2) // 2:  # e_i of g numbers; no degree-i family needed
         return ZERO
     return _unscale(closed_family(kind, k, i)[i], i)
@@ -199,9 +194,6 @@ def base_value(key: HodgeValueKey) -> Optional[Rational]:
     D(1, 4) = 1/4, and the k = 2 boundary convention (1/2 for i = 0, else 0,
     already subsumed by the first two rules).
     """
-    injected = FAULT_INJECTION.get(key)
-    if injected is not None:
-        return injected
     if key.i > key.genus:
         return ZERO
     if key.i == 0:
@@ -215,10 +207,11 @@ def recursion_step(kind: str, k: int, D, d, degree: int) -> list:
     """Coefficients 0..degree of the scaled family ``kind`` at k.
 
     ``D`` and ``d`` map each even k' to the scaled family at k' (A_k' and
-    a_k' in the module docstring) as a list of int or Rational
-    coefficients, possibly truncated; the step reads d below k and D up to
-    k (k itself only for kind 'd').  Every product goes through
-    kernels.poly_mul.
+    a_k' in the module docstring) as a list of int coefficients (or
+    Rational ones, after an injected fault), possibly truncated; the step
+    reads d below k and D up to k (k itself only for kind 'd').  Each split
+    product is one truncated kernels.convolve, scaled by its signed
+    binomial afterwards.
     """
     top = k - 3 if kind == "D" else k - 2
     total = [0] * (degree + 1)
@@ -232,16 +225,18 @@ def recursion_step(kind: str, k: int, D, d, degree: int) -> list:
         scale = binomial if j % 2 else -binomial
         w_of_minus_t = [-c if ell % 2 else c
                         for ell, c in enumerate(w[:degree + 1])]
-        product = kernels.poly_mul(as_pairs(v[:degree + 1]),
-                                   as_pairs(w_of_minus_t))
-        for i, (num, den) in enumerate(product[:degree + 1]):
-            total[i] += scale * (num if den == 1 else Fraction(num, den))
+        product = kernels.convolve(v, w_of_minus_t, degree)
+        for i, c in enumerate(product):
+            total[i] += scale * c
     return total
 
 
-def _scaled_base(kind: str, i: int, k: int) -> Optional[Rational]:
+def _scaled_base(kind: str, i: int, k: int):
     value = base_value(HodgeValueKey(kind, i, k))
-    return None if value is None else value * 2 ** (i + 1)
+    if value is None:
+        return None
+    scaled = value * 2 ** (i + 1)
+    return scaled.numerator if scaled.denominator == 1 else scaled
 
 
 def _unscale(coefficient, i: int) -> Rational:

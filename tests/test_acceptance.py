@@ -17,8 +17,7 @@ from fractions import Fraction
 from hyperhodge import (DensePolynomial, P_poly, Q_poly,
                         alternating_power_sum, auxiliary_integral, closed_D,
                         closed_d, eqn_check, hat_root_values, hat_transform,
-                        product_vanishing_sum, recursive_D, recursive_d,
-                        values)
+                        product_vanishing_sum, recursive_D, recursive_d)
 from hyperhodge import cli
 from hyperhodge.values import HodgeValueKey, MemoTable
 
@@ -104,7 +103,7 @@ def test_documented_boundary_cases():
               time.perf_counter() - start, 1.0)
 
 
-def test_cli_contract():
+def test_cli_contract(inject_base_value):
     start = time.perf_counter()
 
     # `verify` with defaults exits 0
@@ -114,11 +113,8 @@ def test_cli_contract():
     assert "all suites passed" in result.stdout
 
     # fault-injected base value exits 1
-    values.FAULT_INJECTION[HodgeValueKey("D", 1, 4)] = Fraction(1, 3)
-    try:
-        assert cli.main(["verify", "--max-k", "8", "--max-g", "2"]) == 1
-    finally:
-        values.FAULT_INJECTION.clear()
+    inject_base_value(HodgeValueKey("D", 1, 4), Fraction(1, 3))
+    assert cli.main(["verify", "--max-k", "8", "--max-g", "2"]) == 1
 
     # odd --max-k exits 2
     result = subprocess.run(

@@ -222,28 +222,21 @@ def test_raised_verification_error_is_the_suite_failure(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_fault_injected_base_value_fails_verify():
-    key = HodgeValueKey("D", 1, 4)
-    values.FAULT_INJECTION[key] = Fraction(1, 5)
-    try:
-        code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
-        assert code == 1
-        assert "D" in out and "1/5" in out and "1/4" in out
-    finally:
-        values.FAULT_INJECTION.clear()
+def test_fault_injected_base_value_fails_verify(inject_base_value):
+    inject_base_value(HodgeValueKey("D", 1, 4), Fraction(1, 5))
+    code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
+    assert code == 1
+    assert "D" in out and "1/5" in out and "1/4" in out
 
 
-def test_fault_injected_base_value_fails_table(capsys):
+def test_fault_injected_base_value_fails_table(inject_base_value, capsys):
     key = HodgeValueKey("d", 1, 6)
-    values.FAULT_INJECTION[key] = Fraction(7, 2)
-    try:
-        code, _ = run_cli("table", "--max-k", "8", "--format", "csv")
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"verification failure: closed/recursive mismatch for {key}: "
-            "closed 3/2, recursive 7/2\n")
-    finally:
-        values.FAULT_INJECTION.clear()
+    inject_base_value(key, Fraction(7, 2))
+    code, _ = run_cli("table", "--max-k", "8", "--format", "csv")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"verification failure: closed/recursive mismatch for {key}: "
+        "closed 3/2, recursive 7/2\n")
 
 
 def test_help_exits_zero():

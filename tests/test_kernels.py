@@ -1,10 +1,10 @@
-"""Arithmetic kernels: canonical form, exact products, truncation."""
+"""Arithmetic kernels: integer loops, canonical form, exact products, truncation."""
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hyperhodge
@@ -16,6 +16,16 @@ pair_lists = st.lists(pairs, max_size=24)
 
 def canonical(pair_list):
     return [kernels.normalize(n, d) for n, d in pair_list]
+
+
+def naive_product(a, b):
+    if not a or not b:
+        return []
+    want = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] += x * y
+    return want
 
 
 @given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 6, 10 ** 6))
@@ -32,20 +42,26 @@ def test_normalize_canonical_form(num, den):
         assert d == 1
 
 
-@given(pair_lists, pair_lists)
-def test_poly_mul_matches_fraction_arithmetic(a, b):
+@given(pair_lists, pair_lists, st.integers(0, 50))
+@example([], [(1, 2)], 3)
+@example([(1, 2), (3, 1)], [], 0)
+@example([(1, 1), (2, 1), (3, 1)], [(4, 1), (5, 1)], 0)
+@example([(1, 1), (2, 1), (3, 1)], [(4, 1), (5, 1)], 2)
+@example([(1, 1), (2, 1), (3, 1)], [(4, 1), (5, 1)], 9)
+def test_poly_mul_matches_fraction_arithmetic(a, b, degree):
     a, b = canonical(a), canonical(b)
-    got = kernels.poly_mul(a, b)
     fa = [Fraction(n, d) for n, d in a]
     fb = [Fraction(n, d) for n, d in b]
-    if not fa or not fb:
-        assert got == []
-        return
-    want = [Fraction(0)] * (len(fa) + len(fb) - 1)
-    for i, x in enumerate(fa):
-        for j, y in enumerate(fb):
-            want[i + j] += x * y
-    assert [Fraction(n, d) for n, d in got] == want
+    want = naive_product(fa, fb)
+    assert [Fraction(n, d) for n, d in kernels.poly_mul(a, b)] == want
+    # the integer loop under it, whole and truncated at degree
+    ints_a, ints_b = [n for n, _ in a], [n for n, _ in b]
+    whole = naive_product(ints_a, ints_b)
+    assert kernels.convolve(ints_a, ints_b) == whole
+    cut = kernels.convolve(ints_a, ints_b, degree)
+    assert cut == whole[:degree + 1]
+    assert all(type(c) is int for c in cut)
+    assert kernels.convolve(fa, fb, degree) == want[:degree + 1]
 
 
 @given(pair_lists)
@@ -73,6 +89,13 @@ def test_linear_product_truncation_is_prefix(consts, cap):
 
 def test_linear_product_empty_is_one():
     assert kernels.linear_product([]) == [(1, 1)]
+
+
+def test_times_linear_multiplies_and_truncates():
+    # (1 - t - 6t^2)(1 + 2t) = 1 + t - 8t^2 - 12t^3
+    assert kernels.times_linear([1, -1, -6], 2) == [1, 1, -8, -12]
+    assert kernels.times_linear([1, -1, -6], 2, degree=2) == [1, 1, -8]
+    assert kernels.times_linear([1], 5, degree=0) == [1]
 
 
 def test_kernel_backend_is_pure_python_only():

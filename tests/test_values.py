@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperhodge import kernels, values
+from hyperhodge import kernels, localization, values
 from hyperhodge.errors import DomainError, VerificationError
-from hyperhodge.values import (FAULT_INJECTION, HodgeValueKey, MemoTable,
-                               base_value, closed_D, closed_d, recursive_D,
-                               recursive_d, table)
+from hyperhodge.values import (HodgeValueKey, MemoTable, base_value, closed_D,
+                               closed_d, recursive_D, recursive_d, table)
 
 HALF = Fraction(1, 2)
 
@@ -130,6 +129,23 @@ def test_key_validation():
         HodgeValueKey("D", 0, 0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: closed_D(2, 8.0), id="closed_D-k"),
+    pytest.param(lambda: closed_d(1.5, 8), id="closed_d-i"),
+    pytest.param(lambda: recursive_D(2, 8.0), id="recursive_D-k"),
+    pytest.param(lambda: recursive_D(1.0, 4), id="recursive_D-i"),
+    pytest.param(lambda: table(8.0), id="table"),
+    pytest.param(lambda: localization.auxiliary_integrals("A", 8.0),
+                 id="auxiliary_integrals"),
+    pytest.param(lambda: HodgeValueKey("d", 1, 6.0), id="key"),
+])
+def test_non_integer_index_or_k_is_a_domain_error(call):
+    # cached now, so closed_D(2, 8.0), equal as a cache key, must not hit it
+    assert closed_D(2, 8) == Fraction(23, 8)
+    with pytest.raises(DomainError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # recursions
 
@@ -147,6 +163,25 @@ def test_recursion_rejects_odd_k():
         recursive_D(1, 7)
     with pytest.raises(DomainError):
         recursive_d(1, 7)
+
+
+def test_families_hold_plain_ints(monkeypatch):
+    # a Fraction(1) base value would turn every product it meets into
+    # Fraction arithmetic
+    built = []
+    genuine = MemoTable.families
+
+    def spy(self, cap, k_max):
+        built.append(genuine(self, cap, k_max))
+        return built[-1]
+
+    monkeypatch.setattr(MemoTable, "families", spy)
+    table(40)
+    recursive_D(3, 60, MemoTable())
+    assert len(built) == 2
+    for D, d in built:
+        for family in (*D.values(), *d.values()):
+            assert all(type(c) is int for c in family)
 
 
 @pytest.mark.parametrize("k", range(4, 25, 2))
@@ -230,13 +265,6 @@ def test_closed_families_are_products_built_from_scratch(kind, degree):
         assert values.closed_family(kind, k, degree) == expected, k
 
 
-def test_times_linear_multiplies_and_truncates():
-    # (1 - t - 6t^2)(1 + 2t) = 1 + t - 8t^2 - 12t^3
-    assert values.times_linear([1, -1, -6], 2) == [1, 1, -8, -12]
-    assert values.times_linear([1, -1, -6], 2, degree=2) == [1, 1, -8]
-    assert values.times_linear([1], 5, degree=0) == [1]
-
-
 def test_closed_families_rejects_unknown_kind():
     with pytest.raises(DomainError):
         next(values.closed_families("x", 3))
@@ -300,16 +328,14 @@ def test_table_rejects_bad_bounds():
     pytest.param(HodgeValueKey("d", 1, 6), Fraction(7, 2), Fraction(3, 2),
                  id="d-1-6"),
 ])
-def test_fault_injection_is_detected(key, injected, expected):
-    FAULT_INJECTION[key] = injected
-    try:
-        with pytest.raises(VerificationError) as err:
-            table(8)
-        assert err.value.key == key
-        assert err.value.expected == expected
-        assert err.value.computed == injected
-    finally:
-        FAULT_INJECTION.clear()
+def test_fault_injection_is_detected(inject_base_value, key, injected,
+                                     expected):
+    inject_base_value(key, injected)
+    with pytest.raises(VerificationError) as err:
+        table(8)
+    assert err.value.key == key
+    assert err.value.expected == expected
+    assert err.value.computed == injected
 
 
 @settings(max_examples=25, deadline=None)
