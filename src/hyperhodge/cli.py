@@ -64,23 +64,24 @@ def _identity_checks(max_g: int):
         "P(t) boundary", (("g", 1),),
         identities.P_poly(1), DensePolynomial.variable())
 
-    for m in range(0, min(2 * max_g, 60) + 1):
+    for m in range(1, min(2 * max_g, 60) + 1):  # m = 0 has no p < m
+        row = identities.alternating_power_sums(m, m - 1)
         for p in range(m):
             yield IdentityReport(
                 "alternating-power-sum vanishing", (("m", m), ("p", p)),
-                identities.alternating_power_sum(m, p), 0)
+                row[p], 0)
 
     rng = random.Random(20220408)  # fixed: the emitted report is deterministic
     for n in range(1, min(max_g, 10) + 1):
         for bound in (2 * n - 1, 2 * n):
             if bound == 2 * n - 1 and n < 2:
                 continue  # sharp boundary: the 2n-1 variant needs n >= 2
-            for _ in range(100):
-                draw = [Rational(rng.randint(-99, 99), rng.randint(1, 20))
-                        for _ in range(n)]
+            draws = ([Rational(rng.randint(-99, 99), rng.randint(1, 20))
+                      for _ in range(n)] for _ in range(100))
+            for total in identities.product_vanishing_sums(draws, bound):
                 yield IdentityReport(
                     "product vanishing", (("n", n), ("bound", bound)),
-                    identities.product_vanishing_sum(draw, bound), 0)
+                    total, 0)
 
     zero = DensePolynomial.zero()
     for g in range(2, max_g + 1):

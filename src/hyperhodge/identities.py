@@ -6,17 +6,22 @@ of facts verified here, in the order the proof machinery uses them:
 
 * ``alternating_power_sum(m, p)``: sum((-1)**k * C(m, k) * k**p) vanishes in
   the classical range 0 <= p < m (finite differences of order m kill degree
-  < m).  The range matters: (m, p) = (1, 1) gives -1.
+  < m).  The range matters: (m, p) = (1, 1) gives -1.  The sums for one m
+  depend on m alone, so ``alternating_power_sums(m, p_max)`` gives the whole
+  row p = 0..p_max from one pass over k, adding every term on its own.
 * ``product_vanishing_sum``: the same sum with k**p replaced by a product
   prod(m_i - k) over n arbitrary rationals; vanishes for m = 2n always and
   for m = 2n - 1 once n >= 2, since the product expands into powers k**r
   with r <= n.  The rationals are cleared by one common denominator L, and
   the sum is taken twice on ints: directly over prod(L*m_i - k*L), and
   through the elementary symmetric functions of the L*m_i.
+  ``product_vanishing_sums(draws, bound)`` takes a batch of draws with one
+  bound: the signed binomials and the alternating-power-sum row are built
+  once per batch, and each draw's sum is yielded as soon as it is checked.
 * ``eqn_check``: the polynomial identity equivalent to the D-recursion once
   the closed forms are substituted and everything is packed into generating
   products: the recursion's own step (``values.recursion_step``) fed the
-  closed-form families of ``values.closed_families``.
+  closed-form families of ``values.closed_families``, each cut at its genus.
 * ``P_poly`` / ``hat_transform``: the alternating sum of shifted generating
   products whose vanishing (degree <= g, yet g + 1 roots after the
   reversal substitution t -> 1/t) proves eqn; P_poly(1) = t, so the
@@ -33,11 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
+from typing import Iterator
 
 from . import kernels
 from .algebra import DensePolynomial, Rational, ZERO, _coerce
 from .errors import DomainError, VerificationError
-from .values import closed_families, recursion_step
+from .values import _check_int, closed_families, recursion_step
 
 
 @dataclass(frozen=True)
@@ -61,15 +67,31 @@ class IdentityReport:
                 f"  expected: {self.expected}")
 
 
+def _signed_binomials(m: int) -> list[int]:
+    """(-1)**k * C(m, k) for k in 0..m."""
+    return [comb(m, k) if k % 2 == 0 else -comb(m, k) for k in range(m + 1)]
+
+
+def alternating_power_sums(m: int, p_max: int) -> list[int]:
+    """alternating_power_sum(m, p) for p in 0..p_max, from one pass over k.
+
+    Each term (-1)**k * C(m, k) * k**p is formed as the one for p - 1 times
+    k and added to its own sum; 0**0 = 1.
+    """
+    _check_int("m", m, 0)
+    _check_int("p_max", p_max, 0)
+    row = [0] * (p_max + 1)
+    for k, term in enumerate(_signed_binomials(m)):
+        for p in range(p_max + 1):
+            row[p] += term
+            term *= k
+    return row
+
+
 def alternating_power_sum(m: int, p: int) -> int:
     """sum((-1)**k * C(m, k) * k**p for k in 0..m), with 0**0 = 1."""
-    if m < 0 or p < 0:
-        raise DomainError("m and p must be >= 0")
-    total = 0
-    for k in range(m + 1):
-        term = comb(m, k) * k ** p
-        total = total + term if k % 2 == 0 else total - term
-    return total
+    _check_int("p", p, 0)
+    return alternating_power_sums(m, p)[p]
 
 
 def product_vanishing_sum(m_values, bound: int) -> Rational:
@@ -82,37 +104,55 @@ def product_vanishing_sum(m_values, bound: int) -> Rational:
         sum((-1)**r * e_{n-r}(M) * L**r * alternating_power_sum(bound, r))
 
     both taken on ints.  The two routes must agree; the result is the
-    direct one over L**n.
+    direct one over L**n.  A batch of one of ``product_vanishing_sums``.
     """
-    values = [_coerce(v) for v in m_values]
-    n = len(values)
-    if n < 1:
-        raise DomainError("need at least one value")
-    if bound not in (2 * n - 1, 2 * n):
-        raise DomainError(f"bound must be {2 * n - 1} or {2 * n}, got {bound}")
-    L = lcm(*(v.denominator for v in values))
-    M = [v.numerator * (L // v.denominator) for v in values]
+    return next(product_vanishing_sums([m_values], bound))
 
-    direct = 0
-    for k in range(bound + 1):
-        product = comb(bound, k)
-        for m in M:
-            product *= m - k * L
-        direct = direct + product if k % 2 == 0 else direct - product
 
-    # prod(M_i - k*L) = sum((-1)**r * e_{n-r}(M) * (k*L)**r)
-    e = reduce(kernels.times_linear, M, [1])
-    expanded = 0
-    for r in range(n + 1):
-        term = e[n - r] * L ** r * alternating_power_sum(bound, r)
-        expanded = expanded + term if r % 2 == 0 else expanded - term
+def product_vanishing_sums(draws, bound: int) -> Iterator[Rational]:
+    """product_vanishing_sum(values, bound) for each values in ``draws``.
 
-    if direct != expanded:
-        raise VerificationError(
-            "product/elementary-symmetric routes disagree",
-            key=(tuple(values), bound), expected=Fraction(direct, L ** n),
-            computed=Fraction(expanded, L ** n))
-    return Fraction(direct, L ** n)
+    The signed binomials and the row alternating_power_sums(bound, n) depend
+    on the bound alone (n is the one with bound in (2n-1, 2n)), so they are
+    built once per call.  Draws are read and their sums yielded one at a
+    time: a failing draw raises only after every earlier sum was yielded.
+    """
+    _check_int("bound", bound, 0)
+    binomials = _signed_binomials(bound)
+    row = alternating_power_sums(bound, (bound + 1) // 2)
+    for m_values in draws:
+        values = [_coerce(v) for v in m_values]
+        n = len(values)
+        if n < 1:
+            raise DomainError("need at least one value")
+        if bound not in (2 * n - 1, 2 * n):
+            raise DomainError(
+                f"bound must be {2 * n - 1} or {2 * n}, got {bound}")
+        L = lcm(*(v.denominator for v in values))
+        M = [v.numerator * (L // v.denominator) for v in values]
+
+        direct = 0
+        for k, product in enumerate(binomials):
+            kL = k * L
+            for m in M:
+                product *= m - kL
+            direct += product
+
+        # prod(M_i - k*L) = sum((-1)**r * e_{n-r}(M) * (k*L)**r)
+        e = reduce(kernels.times_linear, M, [1])
+        expanded = 0
+        L_power = 1
+        for r in range(n + 1):
+            term = e[n - r] * L_power * row[r]
+            expanded = expanded + term if r % 2 == 0 else expanded - term
+            L_power *= L
+
+        if direct != expanded:
+            raise VerificationError(
+                "product/elementary-symmetric routes disagree",
+                key=(tuple(values), bound), expected=Fraction(direct, L ** n),
+                computed=Fraction(expanded, L ** n))
+        yield Fraction(direct, L ** n)
 
 
 def eqn_check(g: int) -> IdentityReport:
@@ -124,13 +164,15 @@ def eqn_check(g: int) -> IdentityReport:
     products, with odd j in 1..2g-1 and even j in 2..2g-2.  Every split
     product has degree at most g, so the step's degree cap g drops nothing.
     All families come from one incremental values.closed_families product
-    per kind, truncated at degree g.
+    per kind, truncated at degree g; each is cut at its own genus, the
+    length the recursion's families have, so no zero padding is multiplied.
     """
-    if g < 2:
-        raise DomainError("the identity needs g >= 2")
+    _check_int("g", g, 2)
     k = 2 * g + 2
-    D = dict(zip(range(2, k + 1, 2), closed_families("D", g)))
-    d = dict(zip(range(2, k, 2), closed_families("d", g)))
+    D = {kp: family[:(kp - 2) // 2 + 1] for kp, family in
+         zip(range(2, k + 1, 2), closed_families("D", g))}
+    d = {kp: family[:(kp - 2) // 2 + 1] for kp, family in
+         zip(range(2, k, 2), closed_families("d", g))}
     return IdentityReport(
         name="generating-product identity",
         parameters=(("g", g), ("k", k)),
@@ -166,8 +208,7 @@ def P_poly(g: int) -> DensePolynomial:
     j + 2 is the one at j times the factor for n = g + 1, divided exactly
     by the factor for n = 1 (a remainder raises VerificationError).
     """
-    if g < 1:
-        raise DomainError("g must be >= 1")
+    _check_int("g", g, 1)
     return _alternating_product_sum(order=2 * g - 1, top=2 * g - 1, g=g)
 
 
@@ -176,8 +217,7 @@ def Q_poly(g: int) -> DensePolynomial:
 
     Identically zero for every g >= 1; the products come as in P_poly.
     """
-    if g < 1:
-        raise DomainError("g must be >= 1")
+    _check_int("g", g, 1)
     return _alternating_product_sum(order=2 * g, top=2 * g + 1, g=g)
 
 
@@ -209,6 +249,7 @@ def _window_blocks(order: int, top: int, g: int):
 
 def hat_transform(p: DensePolynomial, g: int) -> DensePolynomial:
     """t**g * p(1/t): coefficient reversal padded to length g + 1."""
+    _check_int("g", g, 0)
     if p.degree > g:
         raise DomainError(f"degree {p.degree} exceeds g={g}")
     coeffs = list(p.coefficients) + [ZERO] * (g + 1 - len(p.coefficients))
@@ -222,11 +263,10 @@ def hat_root_values(g: int) -> list[Rational]:
     over the g shifted arguments, so every entry is zero for g >= 2 — the
     g + 1 roots that force P_poly(g) to vanish.  Computed directly from the
     alternating sum, not from P_poly, so it is evidence rather than tautology.
+    The g + 1 instances are one product_vanishing_sums batch.
     """
-    if g < 2:
-        raise DomainError("the root argument needs g >= 2")
-    out = []
-    for x in range(1, g + 2):
-        shifted = [Rational(x + 2 * g - 1 - 2 * (n - 1)) for n in range(1, g + 1)]
-        out.append(product_vanishing_sum(shifted, bound=2 * g - 1))
-    return out
+    _check_int("g", g, 2)
+    return list(product_vanishing_sums(
+        ([Rational(x + 2 * g - 1 - 2 * (n - 1)) for n in range(1, g + 1)]
+         for x in range(1, g + 2)),
+        bound=2 * g - 1))

@@ -140,9 +140,14 @@ def _check_even_k(k: int, minimum: int) -> None:
         raise DomainError(f"k must be >= {minimum}, got {k}")
 
 
+def _check_int(name: str, value: int, minimum: int) -> None:
+    if not isinstance(value, int) or value < minimum:
+        raise DomainError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_index(i: int) -> None:
-    if not isinstance(i, int) or i < 0:
-        raise DomainError(f"lambda index i must be an integer >= 0, got {i!r}")
+    _check_int("lambda index i", i, 0)
 
 
 def closed_families(kind: str, degree: int) -> Iterator[list[int]]:

@@ -166,6 +166,18 @@ def test_verify_prints_pinned_suite_counts():
                    "all suites passed\n")
 
 
+def test_verify_g20_output_is_pinned():
+    # the benchmark's verify_g20 command, as a fresh process
+    done = run_subprocess("verify", "--max-g", "20")
+    assert done.returncode == 0
+    assert done.stdout == ("identities: 2799 checks passed\n"
+                           "closed-vs-recursive: 108 checks passed\n"
+                           "localization: 106 checks passed\n"
+                           "all suites passed\n")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "f585bb8fdae6a2c1ec858870576e10233d380fd6d1195f28db482614b54c6cc7")
+
+
 def test_localization_sweep_output_is_pinned():
     # the benchmark's localization_sweep command, as a fresh process
     done = run_subprocess("verify-localization", "--max-k", "50")
@@ -199,17 +211,18 @@ def test_failing_report_ends_verify_before_later_suites(monkeypatch):
 
 
 def test_raised_verification_error_is_the_suite_failure(monkeypatch, capsys):
-    real_sum = identities.product_vanishing_sum
+    real_sums = identities.product_vanishing_sums
 
-    def disagreeing_sum(m_values, bound):
-        if len(m_values) == 2:
-            raise VerificationError(
-                "product/elementary-symmetric routes disagree",
-                key=((Fraction(1, 3), Fraction(-2)), bound),
-                expected=Fraction(5, 7), computed=Fraction(-1, 2))
-        return real_sum(m_values, bound)
+    def disagreeing_sums(draws, bound):
+        for draw in draws:
+            if len(draw) == 2:
+                raise VerificationError(
+                    "product/elementary-symmetric routes disagree",
+                    key=((Fraction(1, 3), Fraction(-2)), bound),
+                    expected=Fraction(5, 7), computed=Fraction(-1, 2))
+            yield from real_sums([draw], bound)
 
-    monkeypatch.setattr(identities, "product_vanishing_sum", disagreeing_sum)
+    monkeypatch.setattr(identities, "product_vanishing_sums", disagreeing_sums)
     code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
     assert code == 1
     assert out.splitlines() == [
@@ -220,6 +233,41 @@ def test_raised_verification_error_is_the_suite_failure(monkeypatch, capsys):
         "  expected: 5/7",
     ]
     assert capsys.readouterr().err == ""
+
+
+def test_mid_batch_disagreement_follows_the_earlier_draws(monkeypatch):
+    # The (n=2, bound=3) batch's alternating-power-sum row gains 1 at p = 0
+    # when its 50th draw is read, so that draw's e_j route picks up e_2 of
+    # the draw.  The batch reads its draws one at a time, so the 49 draws
+    # before it are checked, and counted, with the genuine row.
+    real_sums = identities.product_vanishing_sums
+    real_row = identities.alternating_power_sums
+    rows, faulty = [], []
+
+    def held_row(m, p_max):
+        rows.append(real_row(m, p_max))
+        return rows[-1]
+
+    def watched_sums(draws, bound):
+        def watched():
+            for index, draw in enumerate(draws, 1):
+                if bound == 3 and index == 50:
+                    rows[-1][0] += 1
+                    faulty.extend(draw)
+                yield draw
+        return real_sums(watched(), bound)
+
+    monkeypatch.setattr(identities, "alternating_power_sums", held_row)
+    monkeypatch.setattr(identities, "product_vanishing_sums", watched_sums)
+    code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "identities: FAILED after 172 passing checks",  # 23 + 100 + 49
+        "identity product/elementary-symmetric routes disagree"
+        f" [key={(tuple(faulty), 3)}]: FAIL",
+        f"  computed: {faulty[0] * faulty[1]}",
+        "  expected: 0",
+    ]
 
 
 def test_fault_injected_base_value_fails_verify(inject_base_value):

@@ -11,9 +11,11 @@ from hyperhodge import identities, kernels
 from hyperhodge.algebra import DensePolynomial
 from hyperhodge.errors import DomainError, VerificationError
 from hyperhodge.identities import (IdentityReport, P_poly, Q_poly,
-                                   alternating_power_sum, eqn_check,
+                                   alternating_power_sum,
+                                   alternating_power_sums, eqn_check,
                                    hat_root_values, hat_transform,
-                                   product_vanishing_sum)
+                                   product_vanishing_sum,
+                                   product_vanishing_sums)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=10)
 
@@ -48,6 +50,22 @@ def test_alternating_power_sum_domain():
         alternating_power_sum(-1, 0)
     with pytest.raises(DomainError):
         alternating_power_sum(0, -1)
+    with pytest.raises(DomainError):
+        alternating_power_sums(-1, 0)
+    with pytest.raises(DomainError):
+        alternating_power_sums(0, -1)
+
+
+def reference_power_sum(m, p):
+    """sum((-1)**k * C(m, k) * k**p), each term from comb and pow."""
+    return sum((-1) ** k * comb(m, k) * k ** p for k in range(m + 1))
+
+
+def test_alternating_power_sums_match_the_term_by_term_reference():
+    for m in range(46):
+        expected = [reference_power_sum(m, p) for p in range(m + 3)]
+        assert alternating_power_sums(m, m + 2) == expected, m
+        assert [alternating_power_sum(m, p) for p in range(m + 3)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +102,7 @@ def reference_routes(values, bound):
     for v in values:
         e = [a + v * b for a, b in zip(e + [0], [0] + e)]
     n = len(values)
-    expanded = sum(((-1) ** r * e[n - r] * alternating_power_sum(bound, r)
+    expanded = sum(((-1) ** r * e[n - r] * reference_power_sum(bound, r)
                     for r in range(n + 1)), Fraction(0))
     return direct, expanded
 
@@ -103,10 +121,24 @@ def test_product_vanishing_matches_fraction_routes(values, odd):
     assert product_vanishing_sum(values, bound) == direct
 
 
+def test_product_vanishing_batch_matches_per_draw_references():
+    draws = [[Fraction(-99, 20), Fraction(7), Fraction(0)],
+             [Fraction(1, 3), Fraction(-2, 9), Fraction(5, 6)],
+             [3, Fraction(-17, 4), 0],
+             [Fraction(88, 13), Fraction(88, 13), Fraction(-1, 20)]]
+    for bound in (5, 6):
+        sums = list(product_vanishing_sums(iter(draws), bound))
+        assert sums == [reference_routes(d, bound)[0] for d in draws]
+        assert sums == [product_vanishing_sum(d, bound) for d in draws]
+        assert all(s == 0 for s in sums)
+    assert list(product_vanishing_sums([], 3)) == []
+
+
 def test_product_vanishing_route_disagreement_raises(monkeypatch):
-    real = identities.alternating_power_sum
-    monkeypatch.setattr(identities, "alternating_power_sum",
-                        lambda m, p: real(m, p) + (p == 0))
+    real = identities.alternating_power_sums
+    monkeypatch.setattr(
+        identities, "alternating_power_sums",
+        lambda m, p_max: [s + (p == 0) for p, s in enumerate(real(m, p_max))])
     values = [Fraction(1, 3), Fraction(-2)]
     with pytest.raises(VerificationError) as caught:
         product_vanishing_sum(values, 3)
@@ -121,6 +153,26 @@ def test_product_vanishing_bound_validation():
         product_vanishing_sum([Fraction(1)], 3)
     with pytest.raises(DomainError):
         product_vanishing_sum([], 0)
+    with pytest.raises(DomainError):
+        list(product_vanishing_sums([[Fraction(1)], [Fraction(1), 2]], 2))
+
+
+@pytest.mark.parametrize("call, args", [
+    (alternating_power_sum, (2.0, 1)),
+    (alternating_power_sum, (3, 1.0)),
+    (alternating_power_sums, (2.0, 1)),
+    (alternating_power_sums, (3, 1.0)),
+    (P_poly, (2.0,)),
+    (Q_poly, (1.5,)),
+    (eqn_check, (3.0,)),
+    (hat_root_values, (2.0,)),
+    (hat_transform, (DensePolynomial([1]), 2.0)),
+    (product_vanishing_sum, ([1, 2], 3.0)),
+    (lambda *args: list(product_vanishing_sums(*args)), ([[1, 2]], 3.0)),
+])
+def test_non_integer_parameters_are_domain_errors(call, args):
+    with pytest.raises(DomainError):
+        call(*args)
 
 
 # ---------------------------------------------------------------------------
