@@ -13,6 +13,7 @@ where exponents are few, scattered and often negative.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from . import kernels
@@ -190,17 +191,10 @@ class LaurentPolynomial:
 
     def __init__(self, terms: Union[Mapping[int, RationalLike],
                                     Iterable[tuple[int, RationalLike]]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[int, Rational] = {}
-        for exponent, coefficient in items:
-            if not isinstance(exponent, int):
-                raise TypeError("Laurent exponents must be ints")
-            value = cleaned.get(exponent, ZERO) + _coerce(coefficient)
-            if value == 0:
-                cleaned.pop(exponent, None)
-            else:
-                cleaned[exponent] = value
-        self._terms = cleaned
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        if not all(isinstance(exponent, int) for exponent, _ in items):
+            raise TypeError("Laurent exponents must be ints")
+        self._terms = _accumulate((e, _coerce(c)) for e, c in items)
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -243,21 +237,11 @@ class LaurentPolynomial:
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        merged = dict(self._terms)
-        for exponent, coefficient in other._terms.items():
-            value = merged.get(exponent, ZERO) + coefficient
-            if value == 0:
-                merged.pop(exponent, None)
-            else:
-                merged[exponent] = value
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = merged
-        return result
+        return _laurent(_accumulate(
+            chain(self._terms.items(), other._terms.items())))
 
     def __neg__(self):
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
+        return _laurent({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -266,25 +250,14 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
-            product: dict[int, Rational] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = e1 + e2
-                    value = product.get(e, ZERO) + c1 * c2
-                    if value == 0:
-                        product.pop(e, None)
-                    else:
-                        product[e] = value
-            result = LaurentPolynomial.__new__(LaurentPolynomial)
-            result._terms = product
-            return result
+            return _laurent(_accumulate(
+                (e1 + e2, c1 * c2) for e1, c1 in self._terms.items()
+                for e2, c2 in other._terms.items()))
         if isinstance(other, (Fraction, int)):
             scale = _coerce(other)
             if scale == 0:
                 return LaurentPolynomial.zero()
-            result = LaurentPolynomial.__new__(LaurentPolynomial)
-            result._terms = {e: c * scale for e, c in self._terms.items()}
-            return result
+            return _laurent({e: c * scale for e, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -306,16 +279,26 @@ class LaurentPolynomial:
 
 def laurent_sum(terms: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
     """Exact sum with zero coefficients pruned; the empty sum is zero."""
+    return _laurent(_accumulate(
+        item for part in terms for item in part._terms.items()))
+
+
+def _accumulate(items: Iterable[tuple[int, Rational]]) -> dict[int, Rational]:
+    """Sum (exponent, coefficient) pairs by exponent, dropping zero sums."""
     total: dict[int, Rational] = {}
-    for part in terms:
-        for exponent, coefficient in part._terms.items():
-            value = total.get(exponent, ZERO) + coefficient
-            if value == 0:
-                total.pop(exponent, None)
-            else:
-                total[exponent] = value
+    for exponent, coefficient in items:
+        value = total.get(exponent, ZERO) + coefficient
+        if value == 0:
+            total.pop(exponent, None)
+        else:
+            total[exponent] = value
+    return total
+
+
+def _laurent(terms: dict[int, Rational]) -> LaurentPolynomial:
+    # wraps a map already free of zero coefficients, skipping __init__
     result = LaurentPolynomial.__new__(LaurentPolynomial)
-    result._terms = total
+    result._terms = terms
     return result
 
 

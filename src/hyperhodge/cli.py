@@ -260,7 +260,7 @@ def main(argv=None) -> int:
             return _report_outcomes(run(bound) for run, bound in (
                 (run_identity_suite, args.max_g),
                 (run_cross_oracle_suite, args.max_k),
-                (run_localization_suite, min(args.max_k, 20))))
+                (run_localization_suite, args.max_k)))
         if args.command == "verify-localization":
             return _report_outcomes([run_localization_suite(args.max_k)])
         if args.command == "verify-identities":

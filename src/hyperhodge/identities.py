@@ -21,7 +21,8 @@ of facts verified here, in the order the proof machinery uses them:
 * ``eqn_check``: the polynomial identity equivalent to the D-recursion once
   the closed forms are substituted and everything is packed into generating
   products: the recursion's own step (``values.recursion_step``) fed the
-  closed-form families of ``values.closed_families``, each cut at its genus.
+  closed-form families of ``values.closed_families``, in the same
+  ``{k: coefficients}`` dicts, cut at the genus, that the recursion builds.
 * ``P_poly`` / ``hat_transform``: the alternating sum of shifted generating
   products whose vanishing (degree <= g, yet g + 1 roots after the
   reversal substitution t -> 1/t) proves eqn; P_poly(1) = t, so the
@@ -121,7 +122,10 @@ def product_vanishing_sums(draws, bound: int) -> Iterator[Rational]:
     binomials = _signed_binomials(bound)
     row = alternating_power_sums(bound, (bound + 1) // 2)
     for m_values in draws:
-        values = [_coerce(v) for v in m_values]
+        try:
+            values = [_coerce(v) for v in m_values]
+        except TypeError as exc:  # a float or str is a usage error here
+            raise DomainError(str(exc)) from None
         n = len(values)
         if n < 1:
             raise DomainError("need at least one value")
@@ -163,16 +167,13 @@ def eqn_check(g: int) -> IdentityReport:
     families A_k' and a_k': the signed binomial combination of split
     products, with odd j in 1..2g-1 and even j in 2..2g-2.  Every split
     product has degree at most g, so the step's degree cap g drops nothing.
-    All families come from one incremental values.closed_families product
-    per kind, truncated at degree g; each is cut at its own genus, the
-    length the recursion's families have, so no zero padding is multiplied.
+    All families come from one values.closed_families product, each cut at
+    its genus, the length the recursion's families have, so no zero padding
+    is multiplied.
     """
     _check_int("g", g, 2)
     k = 2 * g + 2
-    D = {kp: family[:(kp - 2) // 2 + 1] for kp, family in
-         zip(range(2, k + 1, 2), closed_families("D", g))}
-    d = {kp: family[:(kp - 2) // 2 + 1] for kp, family in
-         zip(range(2, k, 2), closed_families("d", g))}
+    D, d = closed_families(g, k)
     return IdentityReport(
         name="generating-product identity",
         parameters=(("g", g), ("k", k)),

@@ -37,18 +37,17 @@ from that vanishing reproduces the recursions in values.py.
 
 Each graph is evaluated for every i at once, on ints.  A series vertex of
 dimension m pairs psi**(m-l) with lambda_l, a D or d value: its family over
-l is the scaled closed one off values.closed_families, cut at l = m and
-negated where s < 0 and m - l is even.  The lambda_i splitting is the t**i
-coefficient of the families' product conv, taken with kernels.convolve, and
-the graph adds +-multiplicity * conv[i] / 2**(i+1) at
-t**(t_power_fixed + i - sum(m+1)).
+l is the scaled closed one at the vertex's twisted point count, read off
+the {k: coefficients} dicts of values.closed_families (cut at the vertex
+genus, which never exceeds m), and negated where s < 0 and m - l is even.
+The lambda_i splitting is the t**i coefficient of the families' product
+conv, taken with kernels.convolve, and the graph adds
++-multiplicity * conv[i] / 2**(i+1) at t**(t_power_fixed + i - sum(m+1)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import islice
 from math import comb
 from typing import Literal
 
@@ -70,6 +69,7 @@ class LocalizationGraph:
     over_infty: frozenset[int]
 
     def __post_init__(self):
+        _check_even_k(self.k, 2)
         object.__setattr__(self, "over_zero", frozenset(self.over_zero))
         object.__setattr__(self, "over_infty", frozenset(self.over_infty))
         if self.over_zero & self.over_infty:
@@ -219,19 +219,12 @@ def graph_contribution(graph: LocalizationGraph, multiplicity: int,
     Read off the convolution of its vertices' signed closed families (see
     the module docstring); supported on a single power of t.
     """
+    families = values.closed_families((graph.k - 2) // 2, graph.k)
     power, numerators = _graph_numerators(graph, multiplicity, insertion,
-                                          _vertex_families(graph.k))
+                                          families)
     _check_index(i)
     return _unscaled({power + i: numerators[i]} if i < len(numerators)
                      else {}, i)
-
-
-def _vertex_families(k: int) -> dict[str, list[list[int]]]:
-    # the scaled closed D and d families at k' = 2, 4, ..., k (no vertex of
-    # a k-point graph has more), to their highest nonzero degree (k-2)/2
-    degree = (k - 2) // 2
-    return {kind: list(islice(values.closed_families(kind, degree), k // 2))
-            for kind in ("D", "d")}
 
 
 def _graph_numerators(graph: LocalizationGraph, multiplicity: int,
@@ -239,14 +232,15 @@ def _graph_numerators(graph: LocalizationGraph, multiplicity: int,
     # (power, numerators): the graph adds numerators[i] / 2**(i+1) at
     # t**(power + i), and nothing past the list.  The prefactor is
     # +-multiplicity * 2**(n-1), and the n families' scaling leaves 2**(i+n).
+    # ``families`` is the closed (D, d) pair, indexed by a vertex's
+    # untwisted point count: D has none, d one.
     template = contribution_template(graph, multiplicity, insertion)
     series = template.series_vertices
     numerators = [int(template.prefactor * 2 / 2 ** len(series))]
     power = template.t_power_fixed
     for vertex in series:
         m = vertex.dimension
-        family = families["D" if vertex.untwisted == 0 else "d"]
-        family = family[vertex.twisted // 2 - 1][:m + 1]
+        family = families[vertex.untwisted][vertex.twisted]
         family = [-c if vertex.sign < 0 and (m - ell) % 2 == 0 else c
                   for ell, c in enumerate(family)]
         numerators = kernels.convolve(numerators, family)
@@ -257,7 +251,8 @@ def _graph_numerators(graph: LocalizationGraph, multiplicity: int,
 def _graph_sum(kind: FamilyKind, k: int, first_j: int) -> dict[int, dict]:
     # lambda index i -> t-power -> summed numerators of families first_j..
     free = _free_labels(kind, k)
-    families = _vertex_families(k)
+    # no vertex of a k-point graph has more points, nor a higher genus
+    families = values.closed_families((k - 2) // 2, k)
     sums: dict[int, dict[int, int]] = {}
     for j in range(first_j, free + 1):
         graph, multiplicity = enumerate_family(kind, k, j)
@@ -270,7 +265,7 @@ def _graph_sum(kind: FamilyKind, k: int, first_j: int) -> dict[int, dict]:
 
 
 def _unscaled(numerators: dict[int, int], i: int) -> LaurentPolynomial:
-    return LaurentPolynomial((power, Fraction(numerator, 2 ** (i + 1)))
+    return LaurentPolynomial((power, values._unscale(numerator, i))
                              for power, numerator in numerators.items())
 
 

@@ -39,10 +39,12 @@ sum((-1)**l * V_{i-l} * W_l), and the recursion's factor 2 cancels the 1/2
 the scaling leaves on each product, so the step needs no denominators.
 ``recursion_step`` is that one step; ``identities.eqn_check`` feeds it the
 closed-form families, which ``closed_families`` builds as those integer
-products for k = 2, 4, ... in turn, one factor per step; ``closed_family``
-reads the one at a single k.  ``closed_D`` and ``closed_d`` unscale one
-coefficient of them, and ``table`` compares the two routes' integer
-families coefficient by coefficient.
+products for k = 2, 4, ... in turn, one factor per step.  Both routes hand
+out their families in one shape: a dict per kind, keyed by k, each family
+cut at the requested degree or its genus, whichever is lower.
+``closed_D`` and ``closed_d`` unscale one coefficient of the closed ones,
+and ``table`` compares the two routes' integer families coefficient by
+coefficient.
 
 Base values: D(1, 4) = 1/4, D(0, k) = d(0, k) = 1/2, and zero for i > g; the
 k = 2 conventions (1/2 for i = 0, else 0) give A_2 = a_2 = 1 and make the
@@ -61,8 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import kernels
 from .algebra import HALF, Rational, ZERO
@@ -150,26 +151,22 @@ def _check_index(i: int) -> None:
     _check_int("lambda index i", i, 0)
 
 
-def closed_families(kind: str, degree: int) -> Iterator[list[int]]:
-    """Coefficients 0..degree of the scaled closed family at k = 2, 4, ...
+def closed_families(degree: int, k_max: int) -> tuple[dict, dict]:
+    """The scaled closed D and d families for every even k in 2..k_max.
 
-    prod(1 + (2n-1)t) for 'D' and prod(1 + 2nt) for 'd', over n in
-    1..(k-2)/2: the coefficient of t**i is 2**(i+1) times D(i, k) or
-    d(i, k), and those above the genus are zero.  One incremental product:
-    the family at k is the one at k - 2 times 1 + (k-3)t for 'D' or
-    1 + (k-2)t for 'd', truncated at ``degree``.
+    The shape ``MemoTable.families(degree, k_max)`` gives for the recursion:
+    two dicts keyed by k, the family at k holding its coefficients
+    0..min(degree, g).  They are prod(1 + (2n-1)t) for D and prod(1 + 2nt)
+    for d over n in 1..g, so the coefficient of t**i is 2**(i+1) times
+    D(i, k) or d(i, k).  One incremental product: the families at k are
+    those at k - 2 times 1 + (k-3)t and 1 + (k-2)t.
     """
-    if kind not in ("D", "d"):
-        raise DomainError(f"kind must be 'D' or 'd', not {kind!r}")
-    coeffs = [1] + [0] * degree
-    for c in count(1 if kind == "D" else 2, 2):  # the next factor 1 + ct
-        yield coeffs
-        coeffs = kernels.times_linear(coeffs, c, degree)
-
-
-def closed_family(kind: str, k: int, degree: int) -> list[int]:
-    """The family ``closed_families(kind, degree)`` yields at k."""
-    return next(islice(closed_families(kind, degree), k // 2 - 1, None))
+    D, d = {2: [1]}, {2: [1]}
+    for k in range(4, k_max + 1, 2):
+        cut = min(degree, (k - 2) // 2)
+        D[k] = kernels.times_linear(D[k - 2], k - 3, cut)
+        d[k] = kernels.times_linear(d[k - 2], k - 2, cut)
+    return D, d
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: D(2, 8.0) must not hit D(2, 8)
@@ -189,7 +186,8 @@ def _closed_value(kind: str, i: int, k: int) -> Rational:
     _check_index(i)
     if i > (k - 2) // 2:  # e_i of g numbers; no degree-i family needed
         return ZERO
-    return _unscale(closed_family(kind, k, i)[i], i)
+    D, d = closed_families(i, k)
+    return _unscale((D if kind == "D" else d)[k][i], i)
 
 
 def base_value(key: HodgeValueKey) -> Optional[Rational]:
@@ -278,21 +276,20 @@ def table(max_k: int) -> list[tuple[HodgeValueKey, Rational]]:
     bottom-up in k through max_k and to the top degree (max_k - 2) / 2, with
     the one ``recursion_step`` per family.  For each k in ascending order, D
     before d, each family is then compared coefficient by coefficient with
-    the one ``closed_families`` yields, so the first mismatch is at the key
-    where the routes first part; it raises VerificationError naming the key
-    and both values.
-    Rows come back sorted by (kind, k, i).
+    the closed one at k off ``closed_families``, so the first mismatch is at
+    the key where the routes first part; it raises VerificationError naming
+    the key and both values.
+    Rows come back in (kind, k, i) order.
     """
     _check_even_k(max_k, 4)
     top = (max_k - 2) // 2
-    D, d = MemoTable().families(top, max_k)
-    closed_from_4 = {kind: islice(closed_families(kind, top), 1, None)
-                     for kind in ("D", "d")}
-    rows: list[tuple[HodgeValueKey, Rational]] = []
+    kinds = ("D", "d")
+    closed = dict(zip(kinds, closed_families(top, max_k)))
+    recursive = dict(zip(kinds, MemoTable().families(top, max_k)))
     for k in range(4, max_k + 1, 2):
-        for kind, family in (("D", D), ("d", d)):
-            closed = next(closed_from_4[kind])[:(k - 2) // 2 + 1]
-            for i, (expected, computed) in enumerate(zip(closed, family[k])):
+        for kind in kinds:
+            pairs = zip(closed[kind][k], recursive[kind][k])
+            for i, (expected, computed) in enumerate(pairs):
                 if expected != computed:
                     key = HodgeValueKey(kind, i, k)
                     expected = _unscale(expected, i)
@@ -301,7 +298,6 @@ def table(max_k: int) -> list[tuple[HodgeValueKey, Rational]]:
                         f"closed/recursive mismatch for {key}: "
                         f"closed {expected}, recursive {computed}",
                         key=key, expected=expected, computed=computed)
-            rows.extend((HodgeValueKey(kind, i, k), _unscale(c, i))
-                        for i, c in enumerate(closed))
-    rows.sort(key=lambda row: (row[0].kind, row[0].k, row[0].i))
-    return rows
+    return [(HodgeValueKey(kind, i, k), _unscale(c, i))
+            for kind in kinds for k in range(4, max_k + 1, 2)
+            for i, c in enumerate(closed[kind][k])]

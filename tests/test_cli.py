@@ -178,6 +178,31 @@ def test_verify_g20_output_is_pinned():
         "f585bb8fdae6a2c1ec858870576e10233d380fd6d1195f28db482614b54c6cc7")
 
 
+def test_default_verify_output_is_pinned():
+    done = run_subprocess("verify")
+    assert done.returncode == 0
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "3d28216ae13d65ab32c738014773bec9d161f2051a9707eb5388cd6cfdb5d6db")
+
+
+def test_table_bulk_csv_is_pinned():
+    # the benchmark's table_bulk command
+    code, out = run_cli("table", "--max-k", "60", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a1f3125d75bd0def0ffc2bc3928e2a229b0d273ab1b668be539017e252d6b613")
+
+
+def test_verify_runs_the_localization_suite_to_max_k():
+    code, out = run_cli("verify", "--max-k", "24", "--max-g", "3")
+    assert code == 0
+    code, alone = run_cli("verify-localization", "--max-k", "24")
+    assert code == 0
+    line = alone.splitlines()[0]
+    assert line == "localization: 152 checks passed"
+    assert line in out.splitlines()
+
+
 def test_localization_sweep_output_is_pinned():
     # the benchmark's localization_sweep command, as a fresh process
     done = run_subprocess("verify-localization", "--max-k", "50")

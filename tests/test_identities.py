@@ -155,6 +155,14 @@ def test_product_vanishing_bound_validation():
         product_vanishing_sum([], 0)
     with pytest.raises(DomainError):
         list(product_vanishing_sums([[Fraction(1)], [Fraction(1), 2]], 2))
+    with pytest.raises(DomainError):
+        product_vanishing_sum([1.5], 2)
+    with pytest.raises(DomainError):
+        product_vanishing_sum(["1/2"], 2)
+    with pytest.raises(DomainError):
+        list(product_vanishing_sums([[Fraction(1)], [0.5]], 2))
+    with pytest.raises(DomainError):
+        list(product_vanishing_sums([[Fraction(1)], ["3"]], 2))
 
 
 @pytest.mark.parametrize("call, args", [

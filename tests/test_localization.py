@@ -1,7 +1,6 @@
 """Graph enumeration, vertex moduli, contributions, and the vanishing sums."""
 
 from fractions import Fraction
-from itertools import count
 from math import comb
 
 import pytest
@@ -28,6 +27,10 @@ def test_graph_partition_validation():
         LocalizationGraph(4, frozenset({1, 2, 3}), frozenset({3, 4}))
     with pytest.raises(DomainError):
         LocalizationGraph(4, frozenset({1, 2}), frozenset({4}))
+    # an odd k is no hyperelliptic point count (its graph sum read the
+    # closed family at k + 1, past the ones built)
+    with pytest.raises(DomainError):
+        LocalizationGraph(7, frozenset(range(1, 8)), frozenset())
 
 
 def test_enumerate_family_multiplicities():
@@ -306,11 +309,11 @@ def faulty_d8(monkeypatch):
     """values.closed_families with 2**3 * d(2, 8) off by one."""
     genuine = values.closed_families
 
-    def faulty(kind, degree):
-        for k, family in zip(count(2, 2), genuine(kind, degree)):
-            if kind == "d" and k == 8 and degree >= 2:
-                family = family[:2] + [family[2] + 1] + family[3:]
-            yield family
+    def faulty(degree, k_max):
+        D, d = genuine(degree, k_max)
+        if k_max >= 8 and degree >= 2:
+            d[8] = d[8][:2] + [d[8][2] + 1] + d[8][3:]
+        return D, d
 
     # the closed values are cached; keep faulty ones out of other tests
     closed_D.cache_clear()

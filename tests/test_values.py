@@ -251,30 +251,34 @@ def scratch_closed_family(kind, k, degree):
     """The closed family at k as one truncated product built from scratch."""
     offset = 1 if kind == "D" else 0
     factors = [(2 * n - offset, 1) for n in range(1, k // 2)]
-    coeffs = [c for c, _ in kernels.linear_product(factors, max_degree=degree)]
-    return coeffs + [0] * (degree + 1 - len(coeffs))
+    return [c for c, _ in kernels.linear_product(factors, max_degree=degree)]
 
 
 @pytest.mark.parametrize("kind", ["D", "d"])
 @pytest.mark.parametrize("degree", [0, 5, 39, 45])
 def test_closed_families_are_products_built_from_scratch(kind, degree):
-    families = values.closed_families(kind, degree)
+    D, d = values.closed_families(degree, 80)
+    family = D if kind == "D" else d
+    assert list(family) == list(range(2, 81, 2))
     for k in range(2, 81, 2):
-        expected = scratch_closed_family(kind, k, degree)
-        assert next(families) == expected, k
-        assert values.closed_family(kind, k, degree) == expected, k
+        cut = min(degree, (k - 2) // 2)
+        expected = scratch_closed_family(kind, k, cut)
+        assert len(expected) == cut + 1
+        assert family[k] == expected, k
 
 
-def test_closed_families_rejects_unknown_kind():
-    with pytest.raises(DomainError):
-        next(values.closed_families("x", 3))
+def test_closed_families_have_the_recursion_shape():
+    for degree, k_max in ((0, 2), (1, 4), (3, 20), (12, 30)):
+        closed = values.closed_families(degree, k_max)
+        recursive = MemoTable().families(degree, k_max)
+        assert closed == recursive, (degree, k_max)
 
 
 def test_recursion_never_reads_the_closed_forms(monkeypatch):
     def refuse(*args):
         raise AssertionError("the recursion read the closed form")
 
-    for name in ("closed_family", "closed_D", "closed_d"):
+    for name in ("closed_families", "closed_D", "closed_d"):
         monkeypatch.setattr(values, name, refuse)
     assert recursive_d(2, 8, MemoTable()) == Fraction(11, 2)
     # e_3(1, 3, ..., 21) = 197835 by subset enumeration, frozen
