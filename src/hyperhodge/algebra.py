@@ -1,13 +1,14 @@
 """Exact scalars and the two polynomial representations used everywhere else.
 
-The scalar is :class:`fractions.Fraction` (re-exported as ``Rational``): it
-keeps the canonical form we rely on for equality testing — positive
-denominator, fully reduced, zero stored as 0/1.
+The scalar is :class:`fractions.Fraction` (re-exported as ``Rational``), the
+one rational type above ``kernels``: it keeps the canonical form we rely on
+for equality testing — positive denominator, fully reduced, zero as 0/1.
 
 ``DensePolynomial`` is a coefficient list over ``Rational`` (index = degree)
-for ordinary polynomials, whose degrees stay small here.  ``LaurentPolynomial``
-is a sparse exponent->coefficient map for the equivariant parameter ``t``,
-where exponents are few, scattered and often negative.
+for ordinary polynomials, whose degrees stay small here; it multiplies by
+``kernels.convolve``.  ``LaurentPolynomial`` is a sparse exponent->coefficient
+map for the equivariant parameter ``t``, where exponents are few, scattered
+and often negative; it is only built, added and read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from . import kernels
-from .errors import DomainError
 
 Rational = Fraction
 RationalLike = Union[Rational, int]
@@ -25,16 +25,6 @@ RationalLike = Union[Rational, int]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
-
-
-def as_pairs(coefficients):
-    """Rational coefficients -> kernel representation (num, den pairs)."""
-    return [(c.numerator, c.denominator) for c in coefficients]
-
-
-def from_pairs(pairs):
-    """Kernel representation -> tuple of Rational."""
-    return tuple(Fraction(n, d) for n, d in pairs)
 
 
 class _MinusInfinity:
@@ -94,14 +84,6 @@ class DensePolynomial:
         return cls()
 
     @classmethod
-    def one(cls) -> "DensePolynomial":
-        return cls((ONE,))
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "DensePolynomial":
-        return cls((value,))
-
-    @classmethod
     def variable(cls) -> "DensePolynomial":
         """The monomial ``t``."""
         return cls((ZERO, ONE))
@@ -147,9 +129,8 @@ class DensePolynomial:
 
     def __mul__(self, other):
         if isinstance(other, DensePolynomial):
-            pairs = kernels.poly_mul(as_pairs(self._coeffs),
-                                     as_pairs(other._coeffs))
-            return DensePolynomial(from_pairs(pairs))
+            return DensePolynomial(kernels.convolve(self._coeffs,
+                                                    other._coeffs))
         if isinstance(other, (Fraction, int)):
             scale = _coerce(other)
             return DensePolynomial(c * scale for c in self._coeffs)
@@ -200,30 +181,6 @@ class LaurentPolynomial:
     def zero(cls) -> "LaurentPolynomial":
         return cls()
 
-    @classmethod
-    def term(cls, exponent: int, coefficient: RationalLike = 1) -> "LaurentPolynomial":
-        """The monomial ``coefficient * t**exponent``."""
-        return cls(((exponent, coefficient),))
-
-    @classmethod
-    def from_dense(cls, poly: DensePolynomial) -> "LaurentPolynomial":
-        return cls(enumerate(poly.coefficients))
-
-    def to_dense(self) -> DensePolynomial:
-        """Reinterpret as an ordinary polynomial; all exponents must be >= 0."""
-        if self._terms and min(self._terms) < 0:
-            raise DomainError("negative exponents cannot form a DensePolynomial")
-        if not self._terms:
-            return DensePolynomial.zero()
-        coeffs = [ZERO] * (max(self._terms) + 1)
-        for exponent, coefficient in self._terms.items():
-            coeffs[exponent] = coefficient
-        return DensePolynomial(coeffs)
-
-    @property
-    def terms(self) -> dict[int, Rational]:
-        return dict(self._terms)
-
     def support(self) -> tuple[int, ...]:
         """Exponents carrying a nonzero coefficient, ascending."""
         return tuple(sorted(self._terms))
@@ -247,20 +204,6 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            return _laurent(_accumulate(
-                (e1 + e2, c1 * c2) for e1, c1 in self._terms.items()
-                for e2, c2 in other._terms.items()))
-        if isinstance(other, (Fraction, int)):
-            scale = _coerce(other)
-            if scale == 0:
-                return LaurentPolynomial.zero()
-            return _laurent({e: c * scale for e, c in self._terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):

@@ -1,32 +1,22 @@
-"""Integer polynomial arithmetic, plus rational-pair adapters.
+"""Integer polynomial arithmetic, plus two rational-pair adapters.
 
 A polynomial is a coefficient list indexed by degree.  ``convolve`` and
 ``times_linear`` (a product with 1 + c*t) are the package's only multiply
 loops; callers pass plain ints, and a ``Fraction`` passes through by
-ordinary arithmetic.  ``poly_mul`` and ``linear_product`` serve the
-``Fraction`` types: they take and return canonical ``(num, den)`` pairs
-(``den > 0``, ``gcd(|num|, den) == 1``, zero is ``(0, 1)``), clear the
-denominators with one lcm, multiply on ints and ``normalize`` the results.
+ordinary arithmetic.
+
+``poly_mul`` and ``linear_product`` exist only for the benchmark tracer,
+which wraps them and reads their arguments and results as canonical
+``(num, den)`` pairs (``den > 0``, ``gcd(|num|, den) == 1``, zero is
+``(0, 1)``).  They take pairs in as ``Fraction``s, run the product through
+the two loops above and hand pairs back.  No module of the package calls
+them: everything above this one works on ``Fraction``s.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from fractions import Fraction
 from typing import Optional
-
-
-def normalize(num, den):
-    """Reduce ``num/den`` to canonical form (positive, coprime denominator)."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    if num == 0:
-        return (0, 1)
-    if den < 0:
-        num, den = -num, -den
-    g = gcd(num, den)
-    if g > 1:
-        return (num // g, den // g)
-    return (num, den)
 
 
 def convolve(a: list, b: list, degree: Optional[int] = None) -> list:
@@ -53,18 +43,11 @@ def times_linear(coeffs: list[int], c: int,
     return out if degree is None else out[:degree + 1]
 
 
-def _cleared(pairs) -> tuple[list[int], int]:
-    # integer numerators over the lcm of the denominators, and that lcm
-    den = lcm(*(d for _, d in pairs))
-    return [n * (den // d) for n, d in pairs], den
-
-
 def poly_mul(a, b):
     """Exact convolution of two dense rational-pair polynomials."""
-    ints_a, den_a = _cleared(a)
-    ints_b, den_b = _cleared(b)
-    den = den_a * den_b
-    return [normalize(c, den) for c in convolve(ints_a, ints_b)]
+    product = convolve([Fraction(n, d) for n, d in a],
+                       [Fraction(n, d) for n, d in b])
+    return [(c.numerator, c.denominator) for c in product]
 
 
 def linear_product(constants, max_degree=None):
@@ -73,13 +56,10 @@ def linear_product(constants, max_degree=None):
     ``constants`` is a sequence of rational pairs; the empty product is
     ``[(1, 1)]``.  With ``max_degree`` given, coefficients above that degree
     are dropped (the kept ones are unaffected: the recurrence is triangular).
-    With C_j = den * c_j on ints, the coefficient of t**i is
-    e_i(C) / den**i.
     """
     if max_degree is not None and max_degree < 0:
         return []
-    scaled, den = _cleared(constants)
     coeffs = [1]
-    for c in scaled:
-        coeffs = times_linear(coeffs, c, max_degree)
-    return [normalize(e, den ** i) for i, e in enumerate(coeffs)]
+    for n, d in constants:
+        coeffs = times_linear(coeffs, Fraction(n, d), max_degree)
+    return [(c.numerator, c.denominator) for c in coeffs]

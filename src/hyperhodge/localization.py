@@ -54,7 +54,7 @@ from typing import Literal
 from . import kernels, values
 from .algebra import HALF, LaurentPolynomial, Rational, ZERO
 from .errors import DomainError, VerificationError
-from .values import _check_even_k, _check_index, closed_D, closed_d
+from .values import _check_even_k, _check_index, _check_int, closed_D, closed_d
 
 Side = Literal["zero", "infty"]
 FamilyKind = Literal["A", "B"]
@@ -190,6 +190,7 @@ def contribution_template(graph: LocalizationGraph, multiplicity: int,
                           insertion: FamilyKind) -> ContributionTemplate:
     """Assemble every factor of a graph's contribution except the psi series."""
     _check_insertion(graph, insertion)
+    _check_int("multiplicity", multiplicity, 1)
     prefactor = Rational(multiplicity) * HALF  # central component's 1/2
     t_power = 0
     if insertion == "A":
@@ -219,10 +220,10 @@ def graph_contribution(graph: LocalizationGraph, multiplicity: int,
     Read off the convolution of its vertices' signed closed families (see
     the module docstring); supported on a single power of t.
     """
+    _check_index(i)
     families = values.closed_families((graph.k - 2) // 2, graph.k)
     power, numerators = _graph_numerators(graph, multiplicity, insertion,
                                           families)
-    _check_index(i)
     return _unscaled({power + i: numerators[i]} if i < len(numerators)
                      else {}, i)
 
@@ -281,8 +282,8 @@ def auxiliary_integrals(kind: FamilyKind, k: int) -> list[LaurentPolynomial]:
 
 def auxiliary_integral(kind: FamilyKind, k: int, i: int) -> LaurentPolynomial:
     """The full graph sum for lambda_i; zero once i exceeds (k-2)/2."""
-    integrals = auxiliary_integrals(kind, k)
     _check_index(i)
+    integrals = auxiliary_integrals(kind, k)
     return integrals[i] if i < len(integrals) else LaurentPolynomial.zero()
 
 
@@ -302,8 +303,8 @@ def localization_d(i: int, k: int) -> Rational:
 
 
 def _extract(kind: FamilyKind, k: int, i: int, expected_power: int) -> Rational:
-    sums = _graph_sum(kind, k, 1)
     _check_index(i)
+    sums = _graph_sum(kind, k, 1)
     rest = _unscaled(sums.get(i, {}), i)
     stray = set(rest.support()) - {expected_power}
     if stray:

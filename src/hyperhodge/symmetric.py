@@ -2,32 +2,39 @@
 
 For values x_1..x_n the i-th elementary symmetric function e_i is the sum of
 all i-fold products of distinct values, with e_0 = 1 and e_i = 0 for i > n.
-Its generating function is the product form used throughout the verifier:
+Its generating function is the product form:
 
     e_i(x_1..x_n) = [t^i] prod_j (1 + x_j t)
 
 and multiplying one generating product by another with t -> -t realizes the
 signed convolution sum((-1)**l * e_{i-l}(a) * e_l(b)).
+
+Products are built on ``Fraction``s by ``kernels.times_linear``.  No command
+reaches this module; it stays as public API, which the benchmark traces.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import kernels
-from .algebra import (DensePolynomial, Rational, RationalLike, ZERO,
-                      _coerce, from_pairs)
+from .algebra import (ONE, DensePolynomial, Rational, RationalLike, ZERO,
+                      _coerce)
 from .errors import DomainError
+from .values import _check_int
 
 Values = Sequence[RationalLike]
 
 
-def _value_pairs(values: Values):
-    pairs = []
+def _product(values: Values, sign: int = 1,
+             degree: Optional[int] = None) -> list[Rational]:
+    # coefficients of prod_j (1 + sign * x_j t) up to ``degree``; the value
+    # is negated rather than scaled by ``sign``, which may be a float
+    coeffs = [ONE]
     for v in values:
         c = _coerce(v)
-        pairs.append((c.numerator, c.denominator))
-    return pairs
+        coeffs = kernels.times_linear(coeffs, c if sign == 1 else -c, degree)
+    return coeffs
 
 
 def elementary(i: int, values: Values) -> Rational:
@@ -36,12 +43,9 @@ def elementary(i: int, values: Values) -> Rational:
     Computed by the incremental product recurrence (cost O(n*i)), not by
     enumerating subsets.
     """
-    if i < 0:
-        raise DomainError("elementary symmetric index must be >= 0")
-    coeffs = kernels.linear_product(_value_pairs(values), max_degree=i)
-    if i >= len(coeffs):
-        return ZERO
-    return from_pairs((coeffs[i],))[0]
+    _check_int("elementary symmetric index", i, 0)
+    coeffs = _product(values, degree=i)
+    return coeffs[i] if i < len(coeffs) else ZERO
 
 
 def gen_product(values: Values, sign: int = 1) -> DensePolynomial:
@@ -51,10 +55,7 @@ def gen_product(values: Values, sign: int = 1) -> DensePolynomial:
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    pairs = _value_pairs(values)
-    if sign == -1:
-        pairs = [(-n, d) for n, d in pairs]
-    return DensePolynomial(from_pairs(kernels.linear_product(pairs)))
+    return DensePolynomial(_product(values, sign))
 
 
 def signed_convolution(a: Values, b: Values, i: int) -> Rational:
@@ -62,6 +63,5 @@ def signed_convolution(a: Values, b: Values, i: int) -> Rational:
 
     Equals the coefficient of t**i in gen_product(a, +1) * gen_product(b, -1).
     """
-    if i < 0:
-        raise DomainError("convolution index must be >= 0")
+    _check_int("convolution index", i, 0)
     return (gen_product(a) * gen_product(b, -1)).coefficient(i)

@@ -1,21 +1,39 @@
-"""Arithmetic kernels: integer loops, canonical form, exact products, truncation."""
+"""Arithmetic kernels: integer loops, canonical form, exact products, truncation.
 
+Also guards the layering: the ``(num, den)`` pair format stays inside
+``kernels``, whose two pair adapters no other module of the package calls.
+"""
+
+import ast
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hyperhodge
 from hyperhodge import kernels
 
+SOURCE = Path(hyperhodge.__file__).resolve().parent
+
 pairs = st.tuples(st.integers(-200, 200), st.integers(1, 60))
 pair_lists = st.lists(pairs, max_size=24)
 
 
 def canonical(pair_list):
-    return [kernels.normalize(n, d) for n, d in pair_list]
+    return [(f.numerator, f.denominator)
+            for f in (Fraction(n, d) for n, d in pair_list)]
+
+
+def assert_canonical(pair_list):
+    # den > 0, gcd(|num|, den) == 1, and zero only as (0, 1)
+    for n, d in pair_list:
+        assert type(n) is int and type(d) is int
+        assert d > 0
+        assert gcd(abs(n), d) == 1
+        if n == 0:
+            assert d == 1
 
 
 def naive_product(a, b):
@@ -26,20 +44,6 @@ def naive_product(a, b):
         for j, y in enumerate(b):
             want[i + j] += x * y
     return want
-
-
-@given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 6, 10 ** 6))
-def test_normalize_canonical_form(num, den):
-    if den == 0:
-        with pytest.raises(ZeroDivisionError):
-            kernels.normalize(num, den)
-        return
-    n, d = kernels.normalize(num, den)
-    assert d > 0
-    assert gcd(abs(n), d) == 1
-    assert Fraction(n, d) == Fraction(num, den)
-    if n == 0:
-        assert d == 1
 
 
 @given(pair_lists, pair_lists, st.integers(0, 50))
@@ -53,7 +57,9 @@ def test_poly_mul_matches_fraction_arithmetic(a, b, degree):
     fa = [Fraction(n, d) for n, d in a]
     fb = [Fraction(n, d) for n, d in b]
     want = naive_product(fa, fb)
-    assert [Fraction(n, d) for n, d in kernels.poly_mul(a, b)] == want
+    product = kernels.poly_mul(a, b)
+    assert_canonical(product)
+    assert [Fraction(n, d) for n, d in product] == want
     # the integer loop under it, whole and truncated at degree
     ints_a, ints_b = [n for n, _ in a], [n for n, _ in b]
     whole = naive_product(ints_a, ints_b)
@@ -68,6 +74,7 @@ def test_poly_mul_matches_fraction_arithmetic(a, b, degree):
 def test_linear_product_expands_factors(consts):
     consts = canonical(consts)
     got = kernels.linear_product(consts)
+    assert_canonical(got)
     want = [Fraction(1)]
     for n, d in consts:
         c = Fraction(n, d)
@@ -84,7 +91,22 @@ def test_linear_product_truncation_is_prefix(consts, cap):
     consts = canonical(consts)
     full = kernels.linear_product(consts)
     cut = kernels.linear_product(consts, max_degree=cap)
+    assert_canonical(cut)
     assert cut == full[:cap + 1]
+
+
+@given(st.lists(st.tuples(st.integers(-200, 200),
+                          st.integers(1, 60).map(lambda d: d * 6)
+                          | st.integers(-60, -1)), max_size=8),
+       st.lists(pairs, max_size=8))
+def test_pair_adapters_canonicalise_unreduced_input(a, b):
+    # input pairs need not be reduced or have a positive denominator
+    product = kernels.poly_mul(a, b)
+    assert_canonical(product)
+    assert product == kernels.poly_mul(canonical(a), canonical(b))
+    expanded = kernels.linear_product(a)
+    assert_canonical(expanded)
+    assert expanded == kernels.linear_product(canonical(a))
 
 
 def test_linear_product_empty_is_one():
@@ -104,3 +126,31 @@ def test_kernel_backend_is_pure_python_only():
     assert hyperhodge.KERNEL_BACKEND == "py"
     # and the kernels module keeps no backend name, loader or switch
     assert not [name for name in vars(kernels) if "backend" in name.lower()]
+
+
+PAIR_ADAPTERS = {"poly_mul", "linear_product"}
+PAIR_HELPERS = {"as_pairs", "from_pairs", "normalize"}
+
+
+def test_pair_format_stays_inside_kernels():
+    offences = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name in PAIR_ADAPTERS:
+                    offences.append(f"{path.name}:{node.lineno} calls {name}")
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name in PAIR_HELPERS:
+                    offences.append(f"{path.name}:{node.lineno} defines "
+                                    f"{node.name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.name.rsplit(".", 1)[-1] in PAIR_HELPERS:
+                        offences.append(f"{path.name}:{node.lineno} imports "
+                                        f"{alias.name}")
+    assert not offences, offences

@@ -145,12 +145,12 @@ def test_contribution_of_lead_graphs():
         for i in range((k - 2) // 2 + 1):
             graph, mult = enumerate_family("A", k, 0)
             assert graph_contribution(graph, mult, "A", i) \
-                == LaurentPolynomial.term(i - (k - 3), closed_D(i, k))
+                == LaurentPolynomial({i - (k - 3): closed_D(i, k)})
     for k in (4, 8, 12):
         for i in range((k - 2) // 2 + 1):
             graph, mult = enumerate_family("B", k, 0)
             assert graph_contribution(graph, mult, "B", i) \
-                == LaurentPolynomial.term(i - (k - 2), closed_d(i, k))
+                == LaurentPolynomial({i - (k - 2): closed_d(i, k)})
 
 
 def test_contribution_cancels_for_balanced_split():
@@ -211,7 +211,7 @@ def test_graph_sum_rederives_d_recursion(k):
         assert localization_d(i, k) == recursive_d(i, k)
 
 
-def test_graph_sum_rejects_bad_input():
+def test_graph_sum_rejects_bad_input(monkeypatch):
     for bad in (("C", 8), ("A", 4), ("A", 7), ("B", 2), ("B", -2)):
         with pytest.raises(DomainError):
             auxiliary_integrals(*bad)
@@ -223,6 +223,25 @@ def test_graph_sum_rejects_bad_input():
         localization_D(-1, 8)
     with pytest.raises(DomainError):
         localization_d(0, 5)
+    # a multiplicity is a labelling count: a positive int, never truncated
+    graph, _ = enumerate_family("A", 8, 2)
+    for multiplicity in (Fraction(3, 2), 0.1, 1.0, 0, -1):
+        with pytest.raises(DomainError):
+            contribution_template(graph, multiplicity, "A")
+        with pytest.raises(DomainError):
+            graph_contribution(graph, multiplicity, "A", 1)
+    # a bad lambda index is refused before any graph is evaluated
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph pass ran before the index check")
+
+    monkeypatch.setattr(values, "closed_families", refuse)
+    for i in (-1, 1.5):
+        with pytest.raises(DomainError):
+            graph_contribution(graph, 1, "A", i)
+        with pytest.raises(DomainError):
+            auxiliary_integral("A", 8, i)
+        with pytest.raises(DomainError):
+            localization_D(i, 8)
 
 
 def test_graph_sum_never_reads_the_recursion(monkeypatch):

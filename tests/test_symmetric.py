@@ -32,6 +32,10 @@ def test_elementary_examples():
 def test_elementary_rejects_negative_index():
     with pytest.raises(DomainError):
         elementary(-1, [1, 2])
+    with pytest.raises(DomainError):
+        elementary(1.5, [1, 2])
+    with pytest.raises(DomainError):
+        elementary(1.0, [1, 2])
 
 
 @given(value_sets, st.integers(0, 9))
@@ -61,9 +65,26 @@ def test_gen_product_examples():
     assert gen_product([1, 3], sign=-1).coefficients == (1, -4, 3)
 
 
+def test_gen_product_float_sign_keeps_exact_coefficients():
+    # the sign picks the side of t but never enters the arithmetic
+    negated = gen_product([Fraction(1, 2), 3], -1.0).coefficients
+    assert negated == (1, Fraction(-7, 2), Fraction(3, 2))
+    assert all(type(c) is Fraction for c in negated)
+    assert gen_product([Fraction(1, 2)], 1.0).coefficients \
+        == (1, Fraction(1, 2))
+
+
 def test_gen_product_sign_validation():
     with pytest.raises(DomainError):
         gen_product([1], sign=2)
+    with pytest.raises(TypeError):
+        gen_product([1.5])
+
+
+def test_signed_convolution_rejects_bad_index():
+    for bad in (-1, 1.0, 0.5):
+        with pytest.raises(DomainError):
+            signed_convolution([1], [2], bad)
 
 
 @given(value_sets)
