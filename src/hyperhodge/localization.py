@@ -133,7 +133,8 @@ def enumerate_family(kind: FamilyKind, k: int, j: int
     infinity; C(k-2, j) labellings.
     """
     free = _free_labels(kind, k)
-    if not 0 <= j <= free:
+    _check_int("family index j", j, 0)
+    if j > free:
         raise DomainError(f"family index j={j} outside 0..{free}")
     infty = frozenset(range(k - j + 1, k + 1))
     infty |= {3} if kind == "A" else set()
@@ -173,8 +174,10 @@ def vertex_integral(twisted: int, untwisted: int, psi_power: int,
     whether the space carries an untwisted point.  The 0-dimensional space
     (2 twisted + 1 untwisted) integrates the fundamental class to 1/2.
     """
-    if untwisted not in (0, 1):
+    if not isinstance(untwisted, int) or untwisted not in (0, 1):
         raise DomainError("untwisted point count must be 0 or 1")
+    if not all(isinstance(n, int) for n in (twisted, psi_power, lambda_index)):
+        raise DomainError("point counts and degrees must be integers")
     if twisted < 2 or twisted % 2:
         raise DomainError("twisted point count must be an even integer >= 2")
     if psi_power < 0 or lambda_index < 0:

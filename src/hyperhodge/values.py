@@ -37,6 +37,11 @@ localization.py for the graph-sum derivation) give
 The coefficient of t**i in V(t) * W(-t) is the lambda-class splitting sum
 sum((-1)**l * V_{i-l} * W_l), and the recursion's factor 2 cancels the 1/2
 the scaling leaves on each product, so the step needs no denominators.
+Split j's mirror j' swaps its two families (indices k-1-j, j+1 or k-j, j+2
+for A_k; k+1-j, j+1 or k-j, j for a_k), so j' = k-2-j for A_k and k-j for
+a_k, of j's parity and sign, and P_j'(t) = P_j(-t) for the split products
+P.  A pair adds (s_j + (-1)**i * s_j') * P_j[i] at t**i, s_j the signed
+binomial.  Unpaired: the middle j = j', and j = 1 for a_k (C(k-2, k-1) = 0).
 ``recursion_step`` is that one step; ``identities.eqn_check`` feeds it the
 closed-form families, which ``closed_families`` builds as those integer
 products for k = 2, 4, ... in turn, one factor per step.  Both routes hand
@@ -63,6 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Optional
 
 from . import kernels
@@ -212,25 +218,26 @@ def recursion_step(kind: str, k: int, D, d, degree: int) -> list:
     ``D`` and ``d`` map each even k' to the scaled family at k' (A_k' and
     a_k' in the module docstring) as a list of int coefficients (or
     Rational ones, after an injected fault), possibly truncated; the step
-    reads d below k and D up to k (k itself only for kind 'd').  Each split
-    product is one truncated kernels.convolve, scaled by its signed
-    binomial afterwards.
+    reads d below k and D up to k (k itself only for kind 'd').  Split j and
+    its mirror (module docstring) share one truncated kernels.convolve,
+    P_j, whose coefficient i is scaled by s_j + (-1)**i * s_j'.
     """
     top = k - 3 if kind == "D" else k - 2
+    pair = k - 2 if kind == "D" else k  # j + j'
     total = [0] * (degree + 1)
-    binomial = 1
-    for j in range(1, top + 1):
-        binomial = binomial * (top + 1 - j) // j  # C(top, j)
+    for j in range(1, min(top, pair // 2) + 1):
         if kind == "D":
             v, w = (d[k - 1 - j], d[j + 1]) if j % 2 else (D[k - j], D[j + 2])
         else:
             v, w = (D[k + 1 - j], D[j + 1]) if j % 2 else (d[k - j], d[j])
-        scale = binomial if j % 2 else -binomial
+        sign = 1 if j % 2 else -1
+        s, s_mirror = sign * comb(top, j), sign * comb(top, pair - j)
+        even, odd = (s + s_mirror, s - s_mirror) if 2 * j < pair else (s, s)
         w_of_minus_t = [-c if ell % 2 else c
                         for ell, c in enumerate(w[:degree + 1])]
-        product = kernels.convolve(v, w_of_minus_t, degree)
+        product = kernels.convolve(w_of_minus_t, v, degree)  # w is shorter
         for i, c in enumerate(product):
-            total[i] += scale * c
+            total[i] += (odd if i % 2 else even) * c
     return total
 
 

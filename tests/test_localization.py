@@ -63,6 +63,9 @@ def test_enumerate_family_domain_errors():
         enumerate_family("A", 7, 0)  # odd k
     with pytest.raises(DomainError):
         enumerate_family("C", 8, 0)
+    for j in (2.5, 2.0, -1):  # range() refused the floats with TypeError
+        with pytest.raises(DomainError):
+            enumerate_family("B", 8, j)
 
 
 @pytest.mark.parametrize("kind,k", [("A", 6), ("A", 12), ("B", 4), ("B", 12)])
@@ -122,6 +125,11 @@ def test_vertex_integral_validation():
         vertex_integral(4, 2, 0, 0)
     with pytest.raises(DomainError):
         vertex_integral(3, 0, 0, 0)
+    # the first two gave Fraction(1, 2), as if their floats were ints
+    for args in ((4, 1, 1.0, 1), (4, 1.0, 1, 1), (4.0, 1, 1, 1),
+                 (4, 0, 0, 1.5), (4, 0, -1.0, 0)):
+        with pytest.raises(DomainError):
+            vertex_integral(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,72 @@ def test_recursion_never_reads_the_closed_forms(monkeypatch):
     assert recursive_D(3, 24, MemoTable()) == Fraction(197835, 16)
 
 
+def split_by_split_step(kind, k, D, d):
+    """The recursion step as the module docstring writes it, at degree g.
+
+    One signed split product per j, each a plain lambda-class splitting
+    sum: no kernels, no mirror pairing.
+    """
+    top = k - 3 if kind == "D" else k - 2
+    total = [0] * (k // 2)
+    for j in range(1, top + 1):
+        if kind == "D":
+            v, w = (d[k - 1 - j], d[j + 1]) if j % 2 else (D[k - j], D[j + 2])
+        else:
+            v, w = (D[k + 1 - j], D[j + 1]) if j % 2 else (d[k - j], d[j])
+        scale = comb(top, j) if j % 2 else -comb(top, j)
+        for i in range(len(total)):
+            total[i] += scale * sum((-1) ** ell * v[i - ell] * w[ell]
+                                    for ell in range(i + 1)
+                                    if i - ell < len(v) and ell < len(w))
+    return total
+
+
+def closed_families_with_fractions(k_max):
+    # a non-integer coefficient in each kind, as an injected fault leaves
+    D, d = values.closed_families(k_max, k_max)
+    D[6] = D[6][:1] + [Fraction(17, 3)] + D[6][2:]
+    d[8] = d[8][:2] + [Fraction(-5, 7)] + d[8][3:]
+    return D, d
+
+
+@pytest.mark.parametrize("families, faulty", [
+    pytest.param(lambda: values.closed_families(30, 60), False, id="closed"),
+    pytest.param(lambda: closed_families_with_fractions(60), True,
+                 id="fraction"),
+])
+@pytest.mark.parametrize("kind", ["D", "d"])
+def test_paired_step_equals_split_by_split_sum(families, faulty, kind):
+    D, d = families()
+    for k in range(2, 61, 2):
+        expected = split_by_split_step(kind, k, D, d)
+        for degree in range((k - 2) // 2 + 1):
+            step = values.recursion_step(kind, k, D, d, degree)
+            assert step == expected[:degree + 1], (kind, k, degree)
+    # the fault reaches the step's output as a non-integer coefficient
+    step = values.recursion_step(kind, 12, D, d, 5)
+    assert any(isinstance(c, Fraction) and c.denominator > 1
+               for c in step) == faulty
+
+
+@pytest.mark.parametrize("kind, pairs", [("D", lambda k: (k - 2) // 2),
+                                         ("d", lambda k: k // 2)])
+def test_step_runs_one_convolution_per_mirror_pair(monkeypatch, kind, pairs):
+    calls = []
+
+    def counting(a, b, degree=None):
+        calls.append((a, b))
+        return genuine(a, b, degree)
+
+    genuine = kernels.convolve
+    monkeypatch.setattr(kernels, "convolve", counting)
+    D, d = values.closed_families(10, 40)
+    for k in range(4, 41, 2):
+        calls.clear()
+        values.recursion_step(kind, k, D, d, (k - 2) // 2)
+        assert len(calls) == pairs(k), (kind, k)
+
+
 # ---------------------------------------------------------------------------
 # the table
 
