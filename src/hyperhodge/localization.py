@@ -36,23 +36,26 @@ full graph sum must vanish identically in t; extracting the j = 0 family
 from that vanishing reproduces the recursions in values.py.
 
 Each graph is evaluated for every i at once, on ints.  A series vertex of
-dimension m pairs psi**(m-l) with lambda_l, a D or d value: its family over
-l is the scaled closed one at the vertex's twisted point count, read off
-the {k: coefficients} dicts of values.closed_families (cut at the vertex
-genus, which never exceeds m), and negated where s < 0 and m - l is even.
-The lambda_i splitting is the t**i coefficient of the families' product
-conv, taken with kernels.convolve, and the graph adds
-+-multiplicity * conv[i] / 2**(i+1) at t**(t_power_fixed + i - sum(m+1)).
+dimension m pairs psi**(m-l) with lambda_l: its family over l is the scaled
+closed one off values.closed_families times s**(m-l+1), from 1/(s*t - psi).
+The graph adds +-multiplicity * P[i] / 2**(i+1) at t**(t_power_fixed + i -
+sum(m+1)), P the product of its one or two signed families.  Family j's
+mirror j' = k-2-j (kind A) or k-j (B) swaps the half-edge counts over 0 and
+infinity.  A paired graph has two series vertices; moving each to the other
+side multiplies the term l_0 + l_inf = i by (-1)**(m_0-l_0+1+m_inf-l_inf+1),
+so P_j'[i] = (-1)**(m_0+m_inf+i) * P_j[i]: one convolution serves both.
+Unpaired: j = 0, B's j = 1 (one series vertex, no product) and the middle
+j = j'.  The pass sums into one int row per t-power, indexed by i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Literal
 
 from . import kernels, values
-from .algebra import HALF, LaurentPolynomial, Rational, ZERO
+from .algebra import LaurentPolynomial, Rational, ZERO
 from .errors import DomainError, VerificationError
 from .values import _check_even_k, _check_index, _check_int, closed_D, closed_d
 
@@ -194,83 +197,81 @@ def contribution_template(graph: LocalizationGraph, multiplicity: int,
     """Assemble every factor of a graph's contribution except the psi series."""
     _check_insertion(graph, insertion)
     _check_int("multiplicity", multiplicity, 1)
-    prefactor = Rational(multiplicity) * HALF  # central component's 1/2
-    t_power = 0
-    if insertion == "A":
-        prefactor = -prefactor  # t * t * (-t)
-        t_power += 3
-    else:
-        t_power += 2  # t * t
-    prefactor = -prefactor  # central 1/(-t^2)
-    t_power -= 2
-    series = []
-    for vertex in vertex_moduli_of(graph):
-        if vertex.half_edges == 0:
-            # bare vertex: numerator factor s*t, nothing else
-            prefactor *= vertex.sign
-            t_power += 1
-        elif vertex.half_edges >= 2:
-            prefactor *= 2  # the node's gluing factor
-            series.append(vertex)
-        # one half-edge: the point sits on the central component; no factor
-    return ContributionTemplate(prefactor, t_power, tuple(series))
+    sign, t_power, series = _template(insertion, len(graph.over_zero),
+                                      len(graph.over_infty))
+    return ContributionTemplate(
+        Rational(sign * multiplicity * 2 ** len(series), 2), t_power, series)
+
+
+def _template(insertion: FamilyKind, zero_edges: int, infty_edges: int):
+    # (sign, t-power, series vertices): t * t (times -t for "A") over the
+    # central -t**2, then s*t per bare vertex (a lone half-edge sits on the
+    # central component); prefactor sign * mult * 2 per series vertex / 2
+    vertices = (_moduli_for("zero", zero_edges),
+                _moduli_for("infty", infty_edges))
+    bare = [vertex.sign for vertex in vertices if vertex.half_edges == 0]
+    return ((1 if insertion == "A" else -1) * prod(bare),
+            (1 if insertion == "A" else 0) + len(bare),
+            tuple(v for v in vertices if v.half_edges >= 2))
 
 
 def graph_contribution(graph: LocalizationGraph, multiplicity: int,
                        insertion: FamilyKind, i: int) -> LaurentPolynomial:
     """The graph's exact contribution to the kind-``insertion`` integral.
 
-    Read off the convolution of its vertices' signed closed families (see
-    the module docstring); supported on a single power of t.
+    Read off the product of its vertices' signed closed families (see the
+    module docstring); supported on a single power of t.
     """
     _check_index(i)
-    families = values.closed_families((graph.k - 2) // 2, graph.k)
-    power, numerators = _graph_numerators(graph, multiplicity, insertion,
-                                          families)
-    return _unscaled({power + i: numerators[i]} if i < len(numerators)
-                     else {}, i)
-
-
-def _graph_numerators(graph: LocalizationGraph, multiplicity: int,
-                      insertion: FamilyKind, families) -> tuple[int, list]:
-    # (power, numerators): the graph adds numerators[i] / 2**(i+1) at
-    # t**(power + i), and nothing past the list.  The prefactor is
-    # +-multiplicity * 2**(n-1), and the n families' scaling leaves 2**(i+n).
-    # ``families`` is the closed (D, d) pair, indexed by a vertex's
-    # untwisted point count: D has none, d one.
     template = contribution_template(graph, multiplicity, insertion)
     series = template.series_vertices
-    numerators = [int(template.prefactor * 2 / 2 ** len(series))]
-    power = template.t_power_fixed
+    families = values.closed_families((graph.k - 2) // 2, graph.k)
+    power, product = _product(template.t_power_fixed, series, families)
+    scale = int(template.prefactor * 2 / 2 ** len(series))  # +-multiplicity
+    return _unscaled({power: [scale * c for c in product]}, i)
+
+
+def _product(t_power: int, series: tuple, families) -> tuple[int, list]:
+    # (t-power of P[0], P); ``families``: closed (D, d), by untwisted count
+    signed = []
     for vertex in series:
         m = vertex.dimension
         family = families[vertex.untwisted][vertex.twisted]
-        family = [-c if vertex.sign < 0 and (m - ell) % 2 == 0 else c
-                  for ell, c in enumerate(family)]
-        numerators = kernels.convolve(numerators, family)
-        power -= m + 1
-    return power, numerators
+        if vertex.sign < 0:
+            family = [c if (m - ell) % 2 else -c
+                      for ell, c in enumerate(family)]
+        signed.append(family)
+        t_power -= m + 1
+    return t_power, signed[0] if len(signed) == 1 else kernels.convolve(*signed)
 
 
-def _graph_sum(kind: FamilyKind, k: int, first_j: int) -> dict[int, dict]:
-    # lambda index i -> t-power -> summed numerators of families first_j..
-    free = _free_labels(kind, k)
-    # no vertex of a k-point graph has more points, nor a higher genus
-    families = values.closed_families((k - 2) // 2, k)
-    sums: dict[int, dict[int, int]] = {}
-    for j in range(first_j, free + 1):
-        graph, multiplicity = enumerate_family(kind, k, j)
-        power, numerators = _graph_numerators(graph, multiplicity, kind,
-                                              families)
-        for i, numerator in enumerate(numerators):
-            terms = sums.setdefault(i, {})
-            terms[power + i] = terms.get(power + i, 0) + numerator
-    return sums
+def _graph_sum(kind: FamilyKind, k: int, first_j: int) -> dict[int, list]:
+    # t-power -> numerators of families first_j.. summed by lambda index i;
+    # no vertex has more points, nor a higher genus: no product outgrows a row
+    free, top = _free_labels(kind, k), (k - 2) // 2
+    families = values.closed_families(top, k)
+    extra = 1 if kind == "A" else 0  # point 3 lies over infinity
+    rows: dict[int, list] = {}
+    for j in range(first_j, k // 2 - extra + 1):
+        zero, infty = k - extra - j, extra + j  # swapped in the mirror
+        sign, t_power, series = _template(kind, zero, infty)
+        power, product = _product(t_power, series, families)
+        even = odd = sign * comb(free, j)
+        if infty < zero <= free + extra:  # mirror j' = zero - extra: j's
+            # dimensions and t-power (no bare vertex), its own sign
+            s = _template(kind, infty, zero)[0] * comb(free, zero - extra)
+            s *= (-1) ** sum(vertex.dimension for vertex in series)
+            even, odd = even + s, odd - s
+        row = rows.setdefault(power, [0] * (top + 1))
+        for i, c in enumerate(product):
+            row[i] += (odd if i % 2 else even) * c
+    return rows
 
 
-def _unscaled(numerators: dict[int, int], i: int) -> LaurentPolynomial:
-    return LaurentPolynomial((power, values._unscale(numerator, i))
-                             for power, numerator in numerators.items())
+def _unscaled(rows: dict[int, list], i: int) -> LaurentPolynomial:
+    return LaurentPolynomial((power + i, values._unscale(row[i], i))
+                             for power, row in rows.items()
+                             if i < len(row) and row[i])
 
 
 def auxiliary_integrals(kind: FamilyKind, k: int) -> list[LaurentPolynomial]:
@@ -279,15 +280,14 @@ def auxiliary_integrals(kind: FamilyKind, k: int) -> list[LaurentPolynomial]:
     One pass over the graphs.  Returned (rather than asserted) so callers
     can check emptiness and report any survivor terms.
     """
-    sums = _graph_sum(kind, k, 0)
-    return [_unscaled(sums.get(i, {}), i) for i in range((k - 2) // 2 + 1)]
+    rows = _graph_sum(kind, k, 0)
+    return [_unscaled(rows, i) for i in range((k - 2) // 2 + 1)]
 
 
 def auxiliary_integral(kind: FamilyKind, k: int, i: int) -> LaurentPolynomial:
     """The full graph sum for lambda_i; zero once i exceeds (k-2)/2."""
     _check_index(i)
-    integrals = auxiliary_integrals(kind, k)
-    return integrals[i] if i < len(integrals) else LaurentPolynomial.zero()
+    return _unscaled(_graph_sum(kind, k, 0), i)
 
 
 def localization_D(i: int, k: int) -> Rational:
@@ -307,8 +307,7 @@ def localization_d(i: int, k: int) -> Rational:
 
 def _extract(kind: FamilyKind, k: int, i: int, expected_power: int) -> Rational:
     _check_index(i)
-    sums = _graph_sum(kind, k, 1)
-    rest = _unscaled(sums.get(i, {}), i)
+    rest = _unscaled(_graph_sum(kind, k, 1), i)
     stray = set(rest.support()) - {expected_power}
     if stray:
         raise VerificationError(

@@ -222,6 +222,10 @@ def recursion_step(kind: str, k: int, D, d, degree: int) -> list:
     its mirror (module docstring) share one truncated kernels.convolve,
     P_j, whose coefficient i is scaled by s_j + (-1)**i * s_j'.
     """
+    if kind not in ("D", "d"):
+        raise DomainError(f"kind must be 'D' or 'd', not {kind!r}")
+    _check_even_k(k, 4)
+    _check_int("degree", degree, 0)
     top = k - 3 if kind == "D" else k - 2
     pair = k - 2 if kind == "D" else k  # j + j'
     total = [0] * (degree + 1)

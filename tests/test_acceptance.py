@@ -8,11 +8,13 @@ package has no tolerances.
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from hyperhodge import (DensePolynomial, P_poly, Q_poly,
                         alternating_power_sum, auxiliary_integral, closed_D,
@@ -20,6 +22,17 @@ from hyperhodge import (DensePolynomial, P_poly, Q_poly,
                         product_vanishing_sum, recursive_D, recursive_d)
 from hyperhodge import cli
 from hyperhodge.values import HodgeValueKey, MemoTable
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_cli(*args):
+    # a child interpreter importing the package from this checkout
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hyperhodge", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def _announce(name, elapsed, budget):
@@ -107,8 +120,7 @@ def test_cli_contract(inject_base_value):
     start = time.perf_counter()
 
     # `verify` with defaults exits 0
-    result = subprocess.run([sys.executable, "-m", "hyperhodge", "verify"],
-                            capture_output=True, text=True)
+    result = _run_cli("verify")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "all suites passed" in result.stdout
 
@@ -117,18 +129,12 @@ def test_cli_contract(inject_base_value):
     assert cli.main(["verify", "--max-k", "8", "--max-g", "2"]) == 1
 
     # odd --max-k exits 2
-    result = subprocess.run(
-        [sys.executable, "-m", "hyperhodge", "table", "--max-k", "7"],
-        capture_output=True, text=True)
+    result = _run_cli("table", "--max-k", "7")
     assert result.returncode == 2
 
     # CSV and JSON carry the same values
-    csv_run = subprocess.run(
-        [sys.executable, "-m", "hyperhodge", "table", "--max-k", "10",
-         "--format", "csv"], capture_output=True, text=True)
-    json_run = subprocess.run(
-        [sys.executable, "-m", "hyperhodge", "table", "--max-k", "10",
-         "--format", "json"], capture_output=True, text=True)
+    csv_run = _run_cli("table", "--max-k", "10", "--format", "csv")
+    json_run = _run_cli("table", "--max-k", "10", "--format", "json")
     assert csv_run.returncode == 0 and json_run.returncode == 0
     csv_rows = {(r["kind"], int(r["i"]), int(r["k"]),
                  Fraction(int(r["num"]), int(r["den"])))

@@ -4,9 +4,11 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,9 +31,15 @@ def run_cli(*args):
     return code, buffer.getvalue()
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_subprocess(*args):
+    # the child imports the package from this checkout, installed or not
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "hyperhodge", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +217,16 @@ def test_localization_sweep_output_is_pinned():
     assert done.returncode == 0
     assert done.stdout == ("localization: 646 checks passed\n"
                            "all suites passed\n")
+
+
+def test_localization_sweep_to_k120_is_pinned():
+    # many mirror pairs, and multiplicities C(117, j) far above 2**53
+    done = run_subprocess("verify-localization", "--max-k", "120")
+    assert done.returncode == 0
+    assert done.stdout == ("localization: 3656 checks passed\n"
+                           "all suites passed\n")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "f6aa8a54605e35c0fe3b7421c20c942bfd4d137f713752ed896c84176013b8ca")
 
 
 def test_product_vanishing_draws_follow_max_g():

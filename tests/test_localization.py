@@ -1,11 +1,12 @@
 """Graph enumeration, vertex moduli, contributions, and the vanishing sums."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
 
-from hyperhodge import cli, values
+from hyperhodge import cli, kernels, values
 from hyperhodge.algebra import LaurentPolynomial, laurent_sum
 from hyperhodge.errors import DomainError
 from hyperhodge.localization import (LocalizationGraph, auxiliary_integral,
@@ -329,6 +330,57 @@ def test_bulk_graph_sum_matches_the_single_queries(kind, k):
     for i in range(len(integrals) + 1):
         expected = integrals[i] if i < len(integrals) else LaurentPolynomial()
         assert auxiliary_integral(kind, k, i) == expected
+
+
+def closed_families_with_faults(genuine):
+    # an int and a Fraction fault in each kind, at vertex point counts the
+    # graph sums read from k = 10 on
+    def faulty(degree, k_max):
+        D, d = genuine(degree, k_max)
+        for family, k, i, fault in ((D, 10, 2, 1), (D, 12, 1, Fraction(1, 3)),
+                                    (d, 8, 1, -2), (d, 12, 3, Fraction(-5, 7))):
+            if k <= k_max and i < len(family[k]):
+                family[k] = family[k][:i] + [family[k][i] + fault] \
+                    + family[k][i + 1:]
+        return D, d
+    return faulty
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["closed", "faults"])
+def test_paired_pass_equals_graph_by_graph_sum(monkeypatch, faulty):
+    families = values.closed_families
+    if faulty:
+        families = closed_families_with_faults(families)
+    # built once per bound: graph_contribution reads them per graph and i
+    monkeypatch.setattr(values, "closed_families", lru_cache(families))
+    survivors = 0
+    for kind, k in graph_cases(60):
+        paired = auxiliary_integrals(kind, k)
+        by_graph = [[] for _ in paired]
+        for j in range(k - 2 if kind == "A" else k - 1):
+            graph, multiplicity = enumerate_family(kind, k, j)
+            for i, terms in enumerate(by_graph):
+                terms.append(graph_contribution(graph, multiplicity, kind, i))
+        assert paired == [laurent_sum(terms) for terms in by_graph], (kind, k)
+        survivors += sum(not integral.is_zero() for integral in paired)
+    assert (survivors > 0) == faulty
+
+
+def test_graph_sum_runs_one_convolution_per_mirror_pair(monkeypatch):
+    # graphs with one series vertex need no product; the other graphs pair
+    # up with their mirrors, the middle one alone: (k - 2) / 2 products
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return genuine(*args, **kwargs)
+
+    genuine = kernels.convolve
+    monkeypatch.setattr(kernels, "convolve", counting)
+    for kind, k in graph_cases(40):
+        calls.clear()
+        auxiliary_integrals(kind, k)
+        assert len(calls) == (k - 2) // 2, (kind, k)
 
 
 @pytest.fixture

@@ -321,7 +321,7 @@ def closed_families_with_fractions():
 @pytest.mark.parametrize("kind", ["D", "d"])
 def test_paired_step_equals_split_by_split_sum(families, faulty, kind):
     D, d = families()
-    for k in range(2, 61, 2):
+    for k in range(4, 61, 2):  # the step starts at k = 4
         expected = split_by_split_step(kind, k, D, d)
         for degree in range((k - 2) // 2 + 1):
             step = values.recursion_step(kind, k, D, d, degree)
@@ -348,6 +348,17 @@ def test_step_runs_one_convolution_per_mirror_pair(monkeypatch, kind, pairs):
         calls.clear()
         values.recursion_step(kind, k, D, d, (k - 2) // 2)
         assert len(calls) == pairs(k), (kind, k)
+
+
+def test_step_rejects_bad_kind_k_and_degree():
+    # "x" gave the d step and an odd k a bare KeyError
+    D, d = values.closed_families(3, 10)
+    assert values.recursion_step("d", 8, D, d, 3) == d[8]
+    for kind, k, degree in (("x", 8, 3), ("A", 8, 3), ("D", 7, 3),
+                            ("d", 9, 3), ("D", 2, 0), ("d", 8.0, 3),
+                            ("D", 8, -1), ("d", 8, 2.0)):
+        with pytest.raises(DomainError):
+            values.recursion_step(kind, k, D, d, degree)
 
 
 # ---------------------------------------------------------------------------
