@@ -5,23 +5,14 @@ the hyperelliptic locus three independent ways — closed form, localization
 recursion, and a direct fixed-locus graph sum — and mechanically checks the
 combinatorial identities tying the routes together.  All arithmetic is
 exact.
+
+The public API is lazy: ``import hyperhodge`` loads no submodule, and each
+name below (or a submodule, such as ``hyperhodge.values``) is imported on
+first use.  So a process loads only what it runs: the ``table`` command and
+point queries load ``values``, ``algebra``, ``kernels`` and ``errors``.
 """
 
-from .algebra import (DensePolynomial, LaurentPolynomial, MINUS_INFINITY,
-                      Rational, laurent_sum)
-from .errors import DomainError, VerificationError
-from .identities import (IdentityReport, P_poly, Q_poly,
-                         alternating_power_sum, eqn_check, hat_root_values,
-                         hat_transform, product_vanishing_sum)
-from .localization import (ContributionTemplate, LocalizationGraph,
-                           VertexModuli, auxiliary_integral,
-                           auxiliary_integrals, contribution_template,
-                           enumerate_family, graph_contribution,
-                           localization_D, localization_d, vertex_integral,
-                           vertex_moduli_of)
-from .symmetric import elementary, gen_product, signed_convolution
-from .values import (HodgeValueKey, MemoTable, base_value, closed_D, closed_d,
-                     recursive_D, recursive_d, table)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -29,44 +20,36 @@ __version__ = "0.1.0"
 # set-up step imports the package and prints it as its import check.
 KERNEL_BACKEND = "py"
 
-__all__ = [
-    "ContributionTemplate",
-    "DensePolynomial",
-    "DomainError",
-    "HodgeValueKey",
-    "IdentityReport",
-    "KERNEL_BACKEND",
-    "LaurentPolynomial",
-    "LocalizationGraph",
-    "MINUS_INFINITY",
-    "MemoTable",
-    "P_poly",
-    "Q_poly",
-    "Rational",
-    "VerificationError",
-    "VertexModuli",
-    "alternating_power_sum",
-    "auxiliary_integral",
-    "auxiliary_integrals",
-    "base_value",
-    "closed_D",
-    "closed_d",
-    "contribution_template",
-    "elementary",
-    "enumerate_family",
-    "eqn_check",
-    "gen_product",
-    "graph_contribution",
-    "hat_root_values",
-    "hat_transform",
-    "laurent_sum",
-    "localization_D",
-    "localization_d",
-    "product_vanishing_sum",
-    "recursive_D",
-    "recursive_d",
-    "signed_convolution",
-    "table",
-    "vertex_integral",
-    "vertex_moduli_of",
-]
+# public name -> the submodule that defines it
+_SUBMODULES = {name: module for module, names in {
+    "algebra": "DensePolynomial LaurentPolynomial MINUS_INFINITY Rational "
+               "laurent_sum",
+    "errors": "DomainError VerificationError",
+    "identities": "IdentityReport P_poly Q_poly alternating_power_sum "
+                  "eqn_check hat_root_values hat_transform "
+                  "product_vanishing_sum",
+    "localization": "ContributionTemplate LocalizationGraph VertexModuli "
+                    "auxiliary_integral auxiliary_integrals "
+                    "contribution_template enumerate_family "
+                    "graph_contribution localization_D localization_d "
+                    "vertex_integral vertex_moduli_of",
+    "symmetric": "elementary gen_product signed_convolution",
+    "values": "HodgeValueKey MemoTable base_value closed_D closed_d "
+              "recursive_D recursive_d table",
+}.items() for name in names.split()}
+
+__all__ = sorted([*_SUBMODULES, "KERNEL_BACKEND"])
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not bound yet; an imported submodule
+    # is bound by the import itself
+    if name in _SUBMODULES.values():
+        return import_module(f"{__name__}.{name}")
+    if name in _SUBMODULES:
+        return getattr(import_module(f"{__name__}.{_SUBMODULES[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

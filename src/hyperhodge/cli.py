@@ -14,27 +14,30 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
-from . import identities, localization, values
+from . import values
 from .algebra import DensePolynomial, LaurentPolynomial, Rational
 from .errors import DomainError, VerificationError
-from .identities import IdentityReport
 
 TABLE_COLUMNS = ("kind", "i", "k", "num", "den")
 
 
 # ---------------------------------------------------------------------------
 # verification suites
+#
+# Each suite imports the modules it runs when it runs, so a command loads
+# only what it needs: ``table`` never loads identities or localization.
 
 
-@dataclass
 class SuiteOutcome:
-    name: str
-    checks: int = 0
-    failure: Optional[IdentityReport] = None
-    notes: list[str] = field(default_factory=list)
+    """A suite's passing checks, its first failing report and its notes."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = 0
+        self.failure = None  # the first failing IdentityReport
+        self.notes: list[str] = []
 
 
 def _run(name: str, reports) -> SuiteOutcome:
@@ -42,6 +45,7 @@ def _run(name: str, reports) -> SuiteOutcome:
 
     A raised VerificationError becomes a report named by its message.
     """
+    from .identities import IdentityReport
     outcome = SuiteOutcome(name)
     try:
         for report in reports:
@@ -56,6 +60,8 @@ def _run(name: str, reports) -> SuiteOutcome:
 
 
 def _identity_checks(max_g: int):
+    from . import identities
+    from .identities import IdentityReport
     # documented boundary cases: the vanishing ranges are sharp
     yield IdentityReport(
         "alternating-power-sum boundary", (("m", 1), ("p", 1)),
@@ -108,6 +114,8 @@ def run_identity_suite(max_g: int) -> SuiteOutcome:
 
 def run_cross_oracle_suite(max_k: int) -> SuiteOutcome:
     """Closed form against the recursion for every value up to max_k."""
+    from .identities import IdentityReport
+
     def checks():  # lazy, so a values.table mismatch raises inside _run
         for key, value in values.table(max_k):
             yield IdentityReport("closed-vs-recursive", (("key", key),),
@@ -117,6 +125,8 @@ def run_cross_oracle_suite(max_k: int) -> SuiteOutcome:
 
 def run_localization_suite(max_k: int) -> SuiteOutcome:
     """Vanishing of both auxiliary integrals for all k and i in range."""
+    from . import localization
+    from .identities import IdentityReport
     zero = LaurentPolynomial.zero()
     return _run("localization", (
         IdentityReport("auxiliary-integral vanishing",

@@ -35,7 +35,7 @@ of facts verified here, in the order the proof machinery uses them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
@@ -47,14 +47,14 @@ from .errors import DomainError, VerificationError
 from .values import _check_int, closed_families, recursion_step
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one identity check; passes iff computed == expected exactly."""
+class IdentityReport(namedtuple("IdentityReport",
+                                "name parameters computed expected")):
+    """Outcome of one identity check; passes iff computed == expected exactly.
 
-    name: str
-    parameters: tuple[tuple[str, object], ...]
-    computed: object
-    expected: object
+    ``parameters`` is a tuple of (name, value) pairs.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -50,7 +50,7 @@ j = j'.  The pass sums into one int row per t-power, indexed by i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, prod
 from typing import Literal
 
@@ -63,37 +63,39 @@ Side = Literal["zero", "infty"]
 FamilyKind = Literal["A", "B"]
 
 
-@dataclass(frozen=True)
-class LocalizationGraph:
-    """Two-vertex graph: marked-point labels split over 0 and infinity."""
+class LocalizationGraph(namedtuple("LocalizationGraph",
+                                   "k over_zero over_infty")):
+    """Two-vertex graph: marked-point labels split over 0 and infinity.
 
-    k: int
-    over_zero: frozenset[int]
-    over_infty: frozenset[int]
-
-    def __post_init__(self):
-        _check_even_k(self.k, 2)
-        object.__setattr__(self, "over_zero", frozenset(self.over_zero))
-        object.__setattr__(self, "over_infty", frozenset(self.over_infty))
-        if self.over_zero & self.over_infty:
-            raise DomainError("a marked point cannot lie over both 0 and infinity")
-        if self.over_zero | self.over_infty != frozenset(range(1, self.k + 1)):
-            raise DomainError(f"labels must partition 1..{self.k}")
-
-
-@dataclass(frozen=True)
-class VertexModuli:
-    """Moduli space of one vertex's contracted component.
-
-    ``twisted``/``untwisted`` count its marked points, the forced node
-    included; both are 0 for a degenerate vertex (0 or 1 half-edges), which
-    has no contracted component at all.
+    The label sets are stored as frozensets, whatever iterable is passed.
     """
 
-    side: Side
-    half_edges: int
-    twisted: int
-    untwisted: int
+    __slots__ = ()
+
+    def __new__(cls, k: int, over_zero, over_infty):
+        _check_even_k(k, 2)
+        over_zero, over_infty = frozenset(over_zero), frozenset(over_infty)
+        if over_zero & over_infty:
+            raise DomainError("a marked point cannot lie over both 0 and infinity")
+        if over_zero | over_infty != frozenset(range(1, k + 1)):
+            raise DomainError(f"labels must partition 1..{k}")
+        return super().__new__(cls, k, over_zero, over_infty)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: check it too
+        return cls(*fields)
+
+
+class VertexModuli(namedtuple("VertexModuli",
+                              "side half_edges twisted untwisted")):
+    """Moduli space of one vertex's contracted component.
+
+    ``side`` is "zero" or "infty"; ``twisted``/``untwisted`` count its marked
+    points, the forced node included; both are 0 for a degenerate vertex (0
+    or 1 half-edges), which has no contracted component at all.
+    """
+
+    __slots__ = ()
 
     @property
     def degenerate(self) -> bool:
@@ -111,8 +113,8 @@ class VertexModuli:
         return 1 if self.side == "zero" else -1
 
 
-@dataclass(frozen=True)
-class ContributionTemplate:
+class ContributionTemplate(namedtuple(
+        "ContributionTemplate", "prefactor t_power_fixed series_vertices")):
     """A graph's contribution with the lambda splitting left unexpanded.
 
     ``prefactor`` collects the labelling multiplicity, the gluing factor, the
@@ -121,9 +123,7 @@ class ContributionTemplate:
     are the vertices carrying a psi geometric series.
     """
 
-    prefactor: Rational
-    t_power_fixed: int
-    series_vertices: tuple[VertexModuli, ...]
+    __slots__ = ()
 
 
 def enumerate_family(kind: FamilyKind, k: int, j: int
@@ -177,10 +177,11 @@ def vertex_integral(twisted: int, untwisted: int, psi_power: int,
     whether the space carries an untwisted point.  The 0-dimensional space
     (2 twisted + 1 untwisted) integrates the fundamental class to 1/2.
     """
-    if not isinstance(untwisted, int) or untwisted not in (0, 1):
-        raise DomainError("untwisted point count must be 0 or 1")
-    if not all(isinstance(n, int) for n in (twisted, psi_power, lambda_index)):
+    if not all(isinstance(n, int) and not isinstance(n, bool)
+               for n in (twisted, untwisted, psi_power, lambda_index)):
         raise DomainError("point counts and degrees must be integers")
+    if untwisted not in (0, 1):
+        raise DomainError("untwisted point count must be 0 or 1")
     if twisted < 2 or twisted % 2:
         raise DomainError("twisted point count must be an even integer >= 2")
     if psi_power < 0 or lambda_index < 0:

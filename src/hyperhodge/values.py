@@ -65,7 +65,7 @@ closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -78,19 +78,21 @@ from .errors import DomainError, VerificationError
 QUARTER = Fraction(1, 4)
 
 
-@dataclass(frozen=True)
-class HodgeValueKey:
+class HodgeValueKey(namedtuple("HodgeValueKey", "kind i k")):
     """Index of one integral: kind 'D' or 'd', lambda index i, k points."""
 
-    kind: str
-    i: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("D", "d"):
-            raise DomainError(f"kind must be 'D' or 'd', not {self.kind!r}")
-        _check_index(self.i)
-        _check_even_k(self.k, 2)
+    def __new__(cls, kind: str, i: int, k: int):
+        if kind not in ("D", "d"):
+            raise DomainError(f"kind must be 'D' or 'd', not {kind!r}")
+        _check_index(i)
+        _check_even_k(k, 2)
+        return super().__new__(cls, kind, i, k)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: check it too
+        return cls(*fields)
 
     @property
     def genus(self) -> int:
@@ -139,7 +141,7 @@ class MemoTable:
 
 
 def _check_even_k(k: int, minimum: int) -> None:
-    if not isinstance(k, int):
+    if not isinstance(k, int) or isinstance(k, bool):
         raise DomainError(f"k must be an integer, got {k!r}")
     if k % 2:
         raise DomainError(f"k must be even, got {k}")
@@ -148,7 +150,8 @@ def _check_even_k(k: int, minimum: int) -> None:
 
 
 def _check_int(name: str, value: int, minimum: int) -> None:
-    if not isinstance(value, int) or value < minimum:
+    # a bool is an int to isinstance, but True is no index, k or degree
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise DomainError(
             f"{name} must be an integer >= {minimum}, got {value!r}")
 
@@ -167,6 +170,8 @@ def closed_families(degree: int, k_max: int) -> tuple[dict, dict]:
     D(i, k) or d(i, k).  One incremental product: the families at k are
     those at k - 2 times 1 + (k-3)t and 1 + (k-2)t.
     """
+    _check_int("degree", degree, 0)
+    _check_even_k(k_max, 2)
     D, d = {2: [1]}, {2: [1]}
     for k in range(4, k_max + 1, 2):
         cut = min(degree, (k - 2) // 2)

@@ -154,3 +154,42 @@ def test_pair_format_stays_inside_kernels():
                         offences.append(f"{path.name}:{node.lineno} imports "
                                         f"{alias.name}")
     assert not offences, offences
+
+
+def test_no_module_imports_dataclasses():
+    # generating dataclasses at import costs every process the import of
+    # inspect, ast and dis plus the code generation; records are named tuples
+    offences = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offences.append(f"{path.name}:{node.lineno}")
+    assert not offences, offences
+
+
+def test_package_init_imports_no_submodule_at_top_level():
+    # the public API is served lazily; a top-level import of a submodule in
+    # __init__ would load it, and what it imports, into every process
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    deferred = {id(inner) for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for inner in ast.walk(node)}
+    offences = []
+    for node in ast.walk(tree):
+        if id(node) in deferred:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else ["hyperhodge"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[0] == "hyperhodge" for name in names):
+            offences.append(f"__init__.py:{node.lineno}")
+    assert not offences, offences

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperhodge import kernels, localization, values
+from hyperhodge import identities, kernels, localization, values
 from hyperhodge.errors import DomainError, VerificationError
 from hyperhodge.values import (HodgeValueKey, MemoTable, base_value, closed_D,
                                closed_d, recursive_D, recursive_d, table)
@@ -144,6 +144,31 @@ def test_non_integer_index_or_k_is_a_domain_error(call):
     assert closed_D(2, 8) == Fraction(23, 8)
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: HodgeValueKey("D", True, 4), id="key"),
+    pytest.param(lambda: closed_D(True, 4), id="closed_D"),
+    pytest.param(lambda: recursive_d(False, 4), id="recursive_d"),
+    pytest.param(lambda: identities.Q_poly(True), id="Q_poly"),
+    pytest.param(lambda: localization.enumerate_family("B", 4, True),
+                 id="enumerate_family"),
+    pytest.param(lambda: values.closed_families(True, 4),
+                 id="closed_families"),
+    pytest.param(lambda: values.recursion_step(
+        "D", 6, *values.closed_families(2, 6), True), id="recursion_step"),
+    pytest.param(lambda: localization.vertex_integral(4, True, 1, 1),
+                 id="vertex_integral-untwisted"),
+    pytest.param(lambda: localization.vertex_integral(4, 0, True, 0),
+                 id="vertex_integral-psi"),
+])
+def test_a_bool_is_no_integer_argument(call):
+    # each of these returned a value, as if True were 1 and False 0; and
+    # closed_D(True, 4) cached its own entry beside closed_D(1, 4)
+    cached = closed_D.cache_info().currsize
+    with pytest.raises(DomainError):
+        call()
+    assert closed_D.cache_info().currsize == cached
 
 
 # ---------------------------------------------------------------------------
