@@ -8,8 +8,9 @@ exact.
 
 The public API is lazy: ``import hyperhodge`` loads no submodule, and each
 name below (or a submodule, such as ``hyperhodge.values``) is imported on
-first use.  So a process loads only what it runs: the ``table`` command and
-point queries load ``values``, ``algebra``, ``kernels`` and ``errors``.
+first use.  So a process loads only what it runs: point queries load
+``values``, ``kernels`` and ``errors``, and the ``table`` command ``cli`` as
+well; only the verification suites load ``algebra``.
 """
 
 from importlib import import_module
@@ -22,8 +23,7 @@ KERNEL_BACKEND = "py"
 
 # public name -> the submodule that defines it
 _SUBMODULES = {name: module for module, names in {
-    "algebra": "DensePolynomial LaurentPolynomial MINUS_INFINITY Rational "
-               "laurent_sum",
+    "algebra": "DensePolynomial LaurentPolynomial Rational laurent_sum",
     "errors": "DomainError VerificationError",
     "identities": "IdentityReport P_poly Q_poly alternating_power_sum "
                   "eqn_check hat_root_values hat_transform "

@@ -1,8 +1,11 @@
-"""Exact scalars and the two polynomial representations used everywhere else.
+"""Exact scalars and the two polynomial representations the verifier reports.
 
 The scalar is :class:`fractions.Fraction` (re-exported as ``Rational``), the
 one rational type above ``kernels``: it keeps the canonical form we rely on
 for equality testing — positive denominator, fully reduced, zero as 0/1.
+Only ``identities``, ``localization``, ``symmetric`` and the verification
+suites in ``cli`` import this module: ``values`` takes ``Fraction``
+directly, so ``table`` and point queries never compile it.
 
 ``DensePolynomial`` is a coefficient list over ``Rational`` (index = degree)
 for ordinary polynomials, whose degrees stay small here; it multiplies by
@@ -14,7 +17,6 @@ and often negative; it is only built, added and read.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from . import kernels
@@ -24,35 +26,6 @@ RationalLike = Union[Rational, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
-
-
-class _MinusInfinity:
-    """Degree of the zero polynomial.
-
-    Orders strictly below every integer, equals only itself, and deliberately
-    supports no arithmetic: using it in a sum is a bug and should raise.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __repr__(self):
-        return "-Infinity"
-
-
-MINUS_INFINITY = _MinusInfinity()
 
 
 def _coerce(value) -> Rational:
@@ -67,8 +40,7 @@ class DensePolynomial:
     """Univariate polynomial over Rational in a formal variable ``t``.
 
     Coefficients are indexed by degree; the highest stored coefficient is
-    nonzero (the zero polynomial stores nothing and reports degree
-    ``MINUS_INFINITY``).
+    nonzero (the zero polynomial stores nothing).
     """
 
     __slots__ = ("_coeffs",)
@@ -79,25 +51,9 @@ class DensePolynomial:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
 
-    @classmethod
-    def zero(cls) -> "DensePolynomial":
-        return cls()
-
-    @classmethod
-    def variable(cls) -> "DensePolynomial":
-        """The monomial ``t``."""
-        return cls((ZERO, ONE))
-
     @property
     def coefficients(self) -> tuple[Rational, ...]:
         return self._coeffs
-
-    @property
-    def degree(self):
-        """Degree, or ``MINUS_INFINITY`` for the zero polynomial."""
-        if not self._coeffs:
-            return MINUS_INFINITY
-        return len(self._coeffs) - 1
 
     def coefficient(self, power: int) -> Rational:
         """The coefficient of ``t**power`` (zero beyond the degree)."""
@@ -173,13 +129,11 @@ class LaurentPolynomial:
     def __init__(self, terms: Union[Mapping[int, RationalLike],
                                     Iterable[tuple[int, RationalLike]]] = ()):
         items = list(terms.items() if isinstance(terms, Mapping) else terms)
-        if not all(isinstance(exponent, int) for exponent, _ in items):
+        # a bool is an int to isinstance, but True is no exponent
+        if not all(isinstance(exponent, int) and not isinstance(exponent, bool)
+                   for exponent, _ in items):
             raise TypeError("Laurent exponents must be ints")
         self._terms = _accumulate((e, _coerce(c)) for e, c in items)
-
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
 
     def support(self) -> tuple[int, ...]:
         """Exponents carrying a nonzero coefficient, ascending."""
@@ -190,20 +144,6 @@ class LaurentPolynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return _laurent(_accumulate(
-            chain(self._terms.items(), other._terms.items())))
-
-    def __neg__(self):
-        return _laurent({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):

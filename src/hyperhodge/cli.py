@@ -9,15 +9,13 @@ configuration; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import random
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from . import values
-from .algebra import DensePolynomial, LaurentPolynomial, Rational
 from .errors import DomainError, VerificationError
 
 TABLE_COLUMNS = ("kind", "i", "k", "num", "den")
@@ -27,7 +25,8 @@ TABLE_COLUMNS = ("kind", "i", "k", "num", "den")
 # verification suites
 #
 # Each suite imports the modules it runs when it runs, so a command loads
-# only what it needs: ``table`` never loads identities or localization.
+# only what it needs: ``table`` never loads algebra, identities or
+# localization.
 
 
 class SuiteOutcome:
@@ -61,6 +60,7 @@ def _run(name: str, reports) -> SuiteOutcome:
 
 def _identity_checks(max_g: int):
     from . import identities
+    from .algebra import DensePolynomial
     from .identities import IdentityReport
     # documented boundary cases: the vanishing ranges are sharp
     yield IdentityReport(
@@ -68,7 +68,7 @@ def _identity_checks(max_g: int):
         identities.alternating_power_sum(1, 1), -1)
     yield IdentityReport(
         "P(t) boundary", (("g", 1),),
-        identities.P_poly(1), DensePolynomial.variable())
+        identities.P_poly(1), DensePolynomial([0, 1]))
 
     for m in range(1, min(2 * max_g, 60) + 1):  # m = 0 has no p < m
         row = identities.alternating_power_sums(m, m - 1)
@@ -82,14 +82,14 @@ def _identity_checks(max_g: int):
         for bound in (2 * n - 1, 2 * n):
             if bound == 2 * n - 1 and n < 2:
                 continue  # sharp boundary: the 2n-1 variant needs n >= 2
-            draws = ([Rational(rng.randint(-99, 99), rng.randint(1, 20))
+            draws = ([Fraction(rng.randint(-99, 99), rng.randint(1, 20))
                       for _ in range(n)] for _ in range(100))
             for total in identities.product_vanishing_sums(draws, bound):
                 yield IdentityReport(
                     "product vanishing", (("n", n), ("bound", bound)),
                     total, 0)
 
-    zero = DensePolynomial.zero()
+    zero = DensePolynomial()
     for g in range(2, max_g + 1):
         yield IdentityReport(
             "P(t) vanishing", (("g", g),), identities.P_poly(g), zero)
@@ -97,7 +97,7 @@ def _identity_checks(max_g: int):
     for g in range(2, min(max_g, 20) + 1):
         yield IdentityReport(
             "hat-transform roots", (("g", g), ("points", f"1..{g + 1}")),
-            identities.hat_root_values(g), [Rational(0)] * (g + 1))
+            identities.hat_root_values(g), [Fraction(0)] * (g + 1))
     for g in range(1, max_g + 1):
         yield IdentityReport(
             "Q(t) vanishing", (("g", g),), identities.Q_poly(g), zero)
@@ -126,8 +126,9 @@ def run_cross_oracle_suite(max_k: int) -> SuiteOutcome:
 def run_localization_suite(max_k: int) -> SuiteOutcome:
     """Vanishing of both auxiliary integrals for all k and i in range."""
     from . import localization
+    from .algebra import LaurentPolynomial
     from .identities import IdentityReport
-    zero = LaurentPolynomial.zero()
+    zero = LaurentPolynomial()
     return _run("localization", (
         IdentityReport("auxiliary-integral vanishing",
                        (("kind", kind), ("k", k), ("i", i)), integral, zero)
@@ -141,7 +142,7 @@ def run_localization_suite(max_k: int) -> SuiteOutcome:
 # table emission
 
 
-def _decimal_string(value: Rational, digits: int) -> str:
+def _decimal_string(value: Fraction, digits: int) -> str:
     # round half away from zero on |value|, deterministic (no float)
     scaled = abs(value.numerator) * 10 ** digits
     quotient, remainder = divmod(scaled, value.denominator)
@@ -166,8 +167,10 @@ def _table_records(max_k: int, decimal: Optional[int]):
 def _emit_table(records, fmt: str, decimal: Optional[int]) -> str:
     columns = list(TABLE_COLUMNS) + (["approx"] if decimal is not None else [])
     if fmt == "json":
+        import json
         return json.dumps(records, indent=2) + "\n"
     if fmt == "csv":
+        import csv
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
@@ -187,17 +190,24 @@ def _emit_table(records, fmt: str, decimal: Optional[int]) -> str:
 
 
 def _even_k(text: str) -> int:
-    value = int(text)
-    if value < 4 or value % 2:
-        raise argparse.ArgumentTypeError(
-            f"--max-k must be an even integer >= 4, got {text}")
-    return value
+    return _int_argument(text, lambda value: value >= 4 and value % 2 == 0,
+                         "--max-k must be an even integer >= 4")
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return _int_argument(text, lambda value: value >= 1,
+                         "expected a positive integer")
+
+
+def _int_argument(text: str, valid, requirement: str) -> int:
+    # argparse names the type function in its message for a ValueError, so
+    # a non-integer gets the same ArgumentTypeError as an integer out of range
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
     return value
 
 

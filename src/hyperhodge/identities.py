@@ -251,8 +251,9 @@ def _window_blocks(order: int, top: int, g: int):
 def hat_transform(p: DensePolynomial, g: int) -> DensePolynomial:
     """t**g * p(1/t): coefficient reversal padded to length g + 1."""
     _check_int("g", g, 0)
-    if p.degree > g:
-        raise DomainError(f"degree {p.degree} exceeds g={g}")
+    degree = len(p.coefficients) - 1  # -1 for the zero polynomial
+    if degree > g:
+        raise DomainError(f"degree {degree} exceeds g={g}")
     coeffs = list(p.coefficients) + [ZERO] * (g + 1 - len(p.coefficients))
     return DensePolynomial(reversed(coeffs))
 

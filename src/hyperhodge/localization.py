@@ -57,7 +57,7 @@ from typing import Literal
 from . import kernels, values
 from .algebra import LaurentPolynomial, Rational, ZERO
 from .errors import DomainError, VerificationError
-from .values import _check_even_k, _check_index, _check_int, closed_D, closed_d
+from .values import _check_even_k, _check_int, closed_D, closed_d
 
 Side = Literal["zero", "infty"]
 FamilyKind = Literal["A", "B"]
@@ -223,7 +223,7 @@ def graph_contribution(graph: LocalizationGraph, multiplicity: int,
     Read off the product of its vertices' signed closed families (see the
     module docstring); supported on a single power of t.
     """
-    _check_index(i)
+    _check_int("lambda index i", i, 0)
     template = contribution_template(graph, multiplicity, insertion)
     series = template.series_vertices
     families = values.closed_families((graph.k - 2) // 2, graph.k)
@@ -287,7 +287,7 @@ def auxiliary_integrals(kind: FamilyKind, k: int) -> list[LaurentPolynomial]:
 
 def auxiliary_integral(kind: FamilyKind, k: int, i: int) -> LaurentPolynomial:
     """The full graph sum for lambda_i; zero once i exceeds (k-2)/2."""
-    _check_index(i)
+    _check_int("lambda index i", i, 0)
     return _unscaled(_graph_sum(kind, k, 0), i)
 
 
@@ -307,7 +307,7 @@ def localization_d(i: int, k: int) -> Rational:
 
 
 def _extract(kind: FamilyKind, k: int, i: int, expected_power: int) -> Rational:
-    _check_index(i)
+    _check_int("lambda index i", i, 0)
     rest = _unscaled(_graph_sum(kind, k, 1), i)
     stray = set(rest.support()) - {expected_power}
     if stray:

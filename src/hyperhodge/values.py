@@ -72,9 +72,10 @@ from math import comb
 from typing import Optional
 
 from . import kernels
-from .algebra import HALF, Rational, ZERO
 from .errors import DomainError, VerificationError
 
+ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
@@ -86,7 +87,7 @@ class HodgeValueKey(namedtuple("HodgeValueKey", "kind i k")):
     def __new__(cls, kind: str, i: int, k: int):
         if kind not in ("D", "d"):
             raise DomainError(f"kind must be 'D' or 'd', not {kind!r}")
-        _check_index(i)
+        _check_int("lambda index i", i, 0)
         _check_even_k(k, 2)
         return super().__new__(cls, kind, i, k)
 
@@ -156,10 +157,6 @@ def _check_int(name: str, value: int, minimum: int) -> None:
             f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _check_index(i: int) -> None:
-    _check_int("lambda index i", i, 0)
-
-
 def closed_families(degree: int, k_max: int) -> tuple[dict, dict]:
     """The scaled closed D and d families for every even k in 2..k_max.
 
@@ -181,27 +178,27 @@ def closed_families(degree: int, k_max: int) -> tuple[dict, dict]:
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: D(2, 8.0) must not hit D(2, 8)
-def closed_D(i: int, k: int) -> Rational:
+def closed_D(i: int, k: int) -> Fraction:
     """(1/2)**(i+1) * e_i(1, 3, ..., k-3); zero once i exceeds (k-2)/2."""
     return _closed_value("D", i, k)
 
 
 @lru_cache(maxsize=None, typed=True)
-def closed_d(i: int, k: int) -> Rational:
+def closed_d(i: int, k: int) -> Fraction:
     """(1/2)**(i+1) * e_i(2, 4, ..., k-2); zero once i exceeds (k-2)/2."""
     return _closed_value("d", i, k)
 
 
-def _closed_value(kind: str, i: int, k: int) -> Rational:
+def _closed_value(kind: str, i: int, k: int) -> Fraction:
     _check_even_k(k, 4 if kind == "D" else 2)
-    _check_index(i)
+    _check_int("lambda index i", i, 0)
     if i > (k - 2) // 2:  # e_i of g numbers; no degree-i family needed
         return ZERO
     D, d = closed_families(i, k)
     return _unscale((D if kind == "D" else d)[k][i], i)
 
 
-def base_value(key: HodgeValueKey) -> Optional[Rational]:
+def base_value(key: HodgeValueKey) -> Optional[Fraction]:
     """The stored base value for ``key``, or None when the recursion is needed.
 
     Covers: the vanishing i > g, the shared value D(0, k) = d(0, k) = 1/2,
@@ -222,7 +219,7 @@ def recursion_step(kind: str, k: int, D, d, degree: int) -> list:
 
     ``D`` and ``d`` map each even k' to the scaled family at k' (A_k' and
     a_k' in the module docstring) as a list of int coefficients (or
-    Rational ones, after an injected fault), possibly truncated; the step
+    Fraction ones, after an injected fault), possibly truncated; the step
     reads d below k and D up to k (k itself only for kind 'd').  Split j and
     its mirror (module docstring) share one truncated kernels.convolve,
     P_j, whose coefficient i is scaled by s_j + (-1)**i * s_j'.
@@ -258,23 +255,23 @@ def _scaled_base(kind: str, i: int, k: int):
     return scaled.numerator if scaled.denominator == 1 else scaled
 
 
-def _unscale(coefficient, i: int) -> Rational:
+def _unscale(coefficient, i: int) -> Fraction:
     return Fraction(coefficient, 2 ** (i + 1))
 
 
-def recursive_D(i: int, k: int, memo: Optional[MemoTable] = None) -> Rational:
+def recursive_D(i: int, k: int, memo: Optional[MemoTable] = None) -> Fraction:
     """D(i, k) via the recursion, through base values and the memo table."""
     _check_even_k(k, 2)
     return _recursive(HodgeValueKey("D", i, k), memo)
 
 
-def recursive_d(i: int, k: int, memo: Optional[MemoTable] = None) -> Rational:
+def recursive_d(i: int, k: int, memo: Optional[MemoTable] = None) -> Fraction:
     """d(i, k) via the recursion, through base values and the memo table."""
     _check_even_k(k, 2)
     return _recursive(HodgeValueKey("d", i, k), memo)
 
 
-def _recursive(key: HodgeValueKey, memo: Optional[MemoTable]) -> Rational:
+def _recursive(key: HodgeValueKey, memo: Optional[MemoTable]) -> Fraction:
     base = base_value(key)
     if base is not None:
         return base
@@ -285,7 +282,7 @@ def _recursive(key: HodgeValueKey, memo: Optional[MemoTable]) -> Rational:
     return _unscale(family[key.k][key.i], key.i)
 
 
-def table(max_k: int) -> list[tuple[HodgeValueKey, Rational]]:
+def table(max_k: int) -> list[tuple[HodgeValueKey, Fraction]]:
     """Every D and d value for 4 <= k <= max_k, cross-checked both routes.
 
     The recursion builds the scaled integer families A_k and a_k once,

@@ -111,7 +111,7 @@ def test_identity_suite():
 def test_documented_boundary_cases():
     start = time.perf_counter()
     assert alternating_power_sum(1, 1) == -1
-    assert P_poly(1) == DensePolynomial.variable()
+    assert P_poly(1) == DensePolynomial([0, 1])
     _announce("boundary cases (sum(1,1)=-1, P(1)=t)",
               time.perf_counter() - start, 1.0)
 

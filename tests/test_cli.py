@@ -140,6 +140,23 @@ def test_odd_max_k_is_usage_error():
     assert code_of("table", "--max-k", "5") == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (("table", "--max-k", "1e3"),
+     "argument --max-k: --max-k must be an even integer >= 4, got 1e3"),
+    (("verify", "--max-g", "abc"),
+     "argument --max-g: expected a positive integer, got abc"),
+    (("table", "--decimal", "x"),
+     "argument --decimal: expected a positive integer, got x"),
+], ids=["max-k", "max-g", "decimal"])
+def test_non_integer_value_is_usage_error_naming_the_option(
+        args, message, capsys):
+    assert code_of(*args) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(message), err
+    assert "invalid" not in err and "_even_k" not in err \
+        and "_positive" not in err
+
+
 def test_unknown_flag_is_usage_error():
     assert code_of("table", "--bogus") == 2
     assert code_of("verify", "--max-g", "0") == 2
@@ -237,7 +254,7 @@ def test_product_vanishing_draws_follow_max_g():
 
 def test_failing_report_ends_verify_before_later_suites(monkeypatch):
     real_q = identities.Q_poly
-    t = DensePolynomial.variable()
+    t = DensePolynomial([0, 1])
     monkeypatch.setattr(identities, "Q_poly",
                         lambda g: t if g == 3 else real_q(g))
 
@@ -248,7 +265,7 @@ def test_failing_report_ends_verify_before_later_suites(monkeypatch):
     code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
     assert code == 1
     failure = IdentityReport("Q(t) vanishing", (("g", 3),), t,
-                             DensePolynomial.zero())
+                             DensePolynomial())
     assert out == ("identities: FAILED after 531 passing checks\n"
                    + failure.describe() + "\n")
 

@@ -211,7 +211,7 @@ def test_P_poly_vanishes_from_two():
 
 
 def test_P_poly_boundary_is_t():
-    assert P_poly(1) == DensePolynomial.variable()
+    assert P_poly(1) == DensePolynomial([0, 1])
     with pytest.raises(DomainError):
         P_poly(0)
 
@@ -233,7 +233,7 @@ def test_Q_poly_vanishes_from_one():
 
 def scratch_alternating_sum(order, top, g):
     """The P/Q sum with every product built from scratch."""
-    total = DensePolynomial.zero()
+    total = DensePolynomial()
     for j in range(order + 1):
         block = kernels.linear_product(
             [(top - j - 2 * (n - 1), 1) for n in range(1, g + 1)])
@@ -288,9 +288,14 @@ def test_eqn_equivalent_to_P_vanishing():
 
 def test_hat_transform_examples():
     assert hat_transform(DensePolynomial([1, 4, 3]), 2) == DensePolynomial([3, 4, 1])
-    assert hat_transform(DensePolynomial.zero(), 5).is_zero()
+    assert hat_transform(DensePolynomial(), 5).is_zero()
     assert hat_transform(DensePolynomial([7]), 2) == DensePolynomial([0, 0, 7])
-    with pytest.raises(DomainError):
+    # degree == g is the largest accepted, the zero polynomial fits g = 0
+    assert hat_transform(DensePolynomial([1, 2, 3]), 2) \
+        == DensePolynomial([3, 2, 1])
+    assert hat_transform(DensePolynomial([5]), 0) == DensePolynomial([5])
+    assert hat_transform(DensePolynomial(), 0).is_zero()
+    with pytest.raises(DomainError, match=r"^degree 2 exceeds g=1$"):
         hat_transform(DensePolynomial([1, 1, 1]), 1)
 
 
@@ -327,4 +332,4 @@ def test_hat_of_P_poly_evaluates_to_zero_at_claimed_roots():
 
 def test_degree_bound_of_P_poly():
     for g in range(1, 12):
-        assert P_poly(g).degree <= g
+        assert len(P_poly(g).coefficients) <= g + 1

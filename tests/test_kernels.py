@@ -193,3 +193,19 @@ def test_package_init_imports_no_submodule_at_top_level():
         if any(name.split(".")[0] == "hyperhodge" for name in names):
             offences.append(f"__init__.py:{node.lineno}")
     assert not offences, offences
+
+
+def test_cli_imports_neither_json_nor_csv_at_module_level():
+    # only the table format that uses one imports it, inside its branch
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    offences = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in ("json", "csv") for name in names):
+            offences.append(f"cli.py:{node.lineno}")
+    assert not offences, offences

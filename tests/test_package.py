@@ -40,8 +40,8 @@ def loaded_after(code):
     return set(json.loads(run_child(f"{code}\n{REPORT}").splitlines()[-1]))
 
 
-VALUE_MODULES = {"hyperhodge.algebra", "hyperhodge.errors",
-                 "hyperhodge.kernels", "hyperhodge.values"}
+VALUE_MODULES = {"hyperhodge.errors", "hyperhodge.kernels",
+                 "hyperhodge.values"}
 
 
 @pytest.mark.parametrize("code, expected", [
