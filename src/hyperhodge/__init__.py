@@ -24,10 +24,9 @@ KERNEL_BACKEND = "py"
 # public name -> the submodule that defines it
 _SUBMODULES = {name: module for module, names in {
     "algebra": "DensePolynomial LaurentPolynomial Rational laurent_sum",
-    "errors": "DomainError VerificationError",
-    "identities": "IdentityReport P_poly Q_poly alternating_power_sum "
-                  "eqn_check hat_root_values hat_transform "
-                  "product_vanishing_sum",
+    "errors": "DomainError IdentityReport VerificationError",
+    "identities": "P_poly Q_poly alternating_power_sum eqn_check "
+                  "hat_root_values hat_transform product_vanishing_sum",
     "localization": "ContributionTemplate LocalizationGraph VertexModuli "
                     "auxiliary_integral auxiliary_integrals "
                     "contribution_template enumerate_family "

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import values
-from .errors import DomainError, VerificationError
+from .errors import DomainError, IdentityReport, VerificationError
 
 TABLE_COLUMNS = ("kind", "i", "k", "num", "den")
 
@@ -26,7 +26,7 @@ TABLE_COLUMNS = ("kind", "i", "k", "num", "den")
 #
 # Each suite imports the modules it runs when it runs, so a command loads
 # only what it needs: ``table`` never loads algebra, identities or
-# localization.
+# localization, and ``verify-localization`` never loads identities.
 
 
 class SuiteOutcome:
@@ -40,11 +40,7 @@ class SuiteOutcome:
 
 
 def _run(name: str, reports) -> SuiteOutcome:
-    """Count the passing checks up to the first failure, returned or raised.
-
-    A raised VerificationError becomes a report named by its message.
-    """
-    from .identities import IdentityReport
+    """Count the passing checks up to the first failure, returned or raised."""
     outcome = SuiteOutcome(name)
     try:
         for report in reports:
@@ -53,15 +49,13 @@ def _run(name: str, reports) -> SuiteOutcome:
                 break
             outcome.checks += 1
     except VerificationError as exc:
-        outcome.failure = IdentityReport(
-            str(exc), (("key", exc.key),), exc.computed, exc.expected)
+        outcome.failure = exc.report
     return outcome
 
 
 def _identity_checks(max_g: int):
     from . import identities
     from .algebra import DensePolynomial
-    from .identities import IdentityReport
     # documented boundary cases: the vanishing ranges are sharp
     yield IdentityReport(
         "alternating-power-sum boundary", (("m", 1), ("p", 1)),
@@ -114,12 +108,10 @@ def run_identity_suite(max_g: int) -> SuiteOutcome:
 
 def run_cross_oracle_suite(max_k: int) -> SuiteOutcome:
     """Closed form against the recursion for every value up to max_k."""
-    from .identities import IdentityReport
-
     def checks():  # lazy, so a values.table mismatch raises inside _run
         for key, value in values.table(max_k):
-            yield IdentityReport("closed-vs-recursive", (("key", key),),
-                                 value, value)
+            yield IdentityReport("closed-vs-recursive",
+                                 tuple(zip(key._fields, key)), value, value)
     return _run("closed-vs-recursive", checks())
 
 
@@ -127,7 +119,6 @@ def run_localization_suite(max_k: int) -> SuiteOutcome:
     """Vanishing of both auxiliary integrals for all k and i in range."""
     from . import localization
     from .algebra import LaurentPolynomial
-    from .identities import IdentityReport
     zero = LaurentPolynomial()
     return _run("localization", (
         IdentityReport("auxiliary-integral vanishing",

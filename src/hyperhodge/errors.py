@@ -1,21 +1,42 @@
-"""Exception types shared across the package."""
+"""Exception types and the one failure record shared across the package."""
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 
 class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
+class IdentityReport(namedtuple("IdentityReport",
+                                "name parameters computed expected")):
+    """Outcome of one check; passes iff computed == expected exactly.
+
+    ``parameters`` is a tuple of (name, value) pairs.
+    """
+
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.computed == self.expected
+
+    def describe(self) -> str:
+        params = ", ".join(f"{k}={v}" for k, v in self.parameters)
+        status = "pass" if self.passed else "FAIL"
+        return (f"identity {self.name} [{params}]: {status}\n"
+                f"  computed: {self.computed}\n"
+                f"  expected: {self.expected}")
+
+
 class VerificationError(Exception):
     """Two routes that must agree exactly did not.
 
-    Carries the offending key (or parameter tuple) and both computed values so
-    the failure can be reported without re-running anything.
+    ``report`` is the failing check, with its parameters and both exact
+    values, so nothing is re-run to report it; its text is the message.
     """
 
-    def __init__(self, message, key=None, expected=None, computed=None):
-        super().__init__(message)
-        self.key = key
-        self.expected = expected
-        self.computed = computed
+    def __init__(self, report: IdentityReport):
+        super().__init__(report.describe())
+        self.report = report

@@ -35,7 +35,6 @@ of facts verified here, in the order the proof machinery uses them:
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
@@ -43,29 +42,8 @@ from typing import Iterator
 
 from . import kernels
 from .algebra import DensePolynomial, Rational, ZERO, _coerce
-from .errors import DomainError, VerificationError
+from .errors import DomainError, IdentityReport, VerificationError
 from .values import _check_int, closed_families, recursion_step
-
-
-class IdentityReport(namedtuple("IdentityReport",
-                                "name parameters computed expected")):
-    """Outcome of one identity check; passes iff computed == expected exactly.
-
-    ``parameters`` is a tuple of (name, value) pairs.
-    """
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.computed == self.expected
-
-    def describe(self) -> str:
-        params = ", ".join(f"{k}={v}" for k, v in self.parameters)
-        status = "pass" if self.passed else "FAIL"
-        return (f"identity {self.name} [{params}]: {status}\n"
-                f"  computed: {self.computed}\n"
-                f"  expected: {self.expected}")
 
 
 def _signed_binomials(m: int) -> list[int]:
@@ -152,10 +130,10 @@ def product_vanishing_sums(draws, bound: int) -> Iterator[Rational]:
             L_power *= L
 
         if direct != expanded:
-            raise VerificationError(
-                "product/elementary-symmetric routes disagree",
-                key=(tuple(values), bound), expected=Fraction(direct, L ** n),
-                computed=Fraction(expanded, L ** n))
+            raise VerificationError(IdentityReport(
+                "product/elementary-symmetric routes",
+                (("values", tuple(values)), ("bound", bound)),
+                Fraction(expanded, L ** n), Fraction(direct, L ** n)))
         yield Fraction(direct, L ** n)
 
 
@@ -185,8 +163,7 @@ def eqn_check(g: int) -> IdentityReport:
 def _divide_linear(coeffs: list[int], c: int) -> list[int]:
     """coeffs / (1 + c*t), one degree shorter, by exact division.
 
-    A nonzero remainder raises VerificationError keyed by the polynomial
-    and c, with expected remainder 0.
+    A nonzero remainder raises VerificationError, computed against 0.
     """
     quotient = []
     carry = 0
@@ -195,9 +172,9 @@ def _divide_linear(coeffs: list[int], c: int) -> list[int]:
         quotient.append(carry)
     remainder = coeffs[-1] - c * carry
     if remainder:
-        raise VerificationError(
-            f"1 + ({c})t does not divide the product exactly",
-            key=(tuple(coeffs), c), expected=0, computed=remainder)
+        raise VerificationError(IdentityReport(
+            "exact division by 1 + ct",
+            (("coefficients", tuple(coeffs)), ("c", c)), remainder, 0))
     return quotient
 
 

@@ -56,7 +56,7 @@ from typing import Literal
 
 from . import kernels, values
 from .algebra import LaurentPolynomial, Rational, ZERO
-from .errors import DomainError, VerificationError
+from .errors import DomainError, IdentityReport, VerificationError
 from .values import _check_even_k, _check_int, closed_D, closed_d
 
 Side = Literal["zero", "infty"]
@@ -259,8 +259,8 @@ def _graph_sum(kind: FamilyKind, k: int, first_j: int) -> dict[int, list]:
         power, product = _product(t_power, series, families)
         even = odd = sign * comb(free, j)
         if infty < zero <= free + extra:  # mirror j' = zero - extra: j's
-            # dimensions and t-power (no bare vertex), its own sign
-            s = _template(kind, infty, zero)[0] * comb(free, zero - extra)
+            # dimensions, t-power, sign: >= 2 half-edges a side, no bare vertex
+            s = sign * comb(free, zero - extra)
             s *= (-1) ** sum(vertex.dimension for vertex in series)
             even, odd = even + s, odd - s
         row = rows.setdefault(power, [0] * (top + 1))
@@ -309,11 +309,11 @@ def localization_d(i: int, k: int) -> Rational:
 def _extract(kind: FamilyKind, k: int, i: int, expected_power: int) -> Rational:
     _check_int("lambda index i", i, 0)
     rest = _unscaled(_graph_sum(kind, k, 1), i)
-    stray = set(rest.support()) - {expected_power}
-    if stray:
-        raise VerificationError(
-            f"graph sum for kind {kind}, k={k}, i={i} has unexpected "
-            f"t-powers {sorted(stray)}", key=(kind, k, i), computed=rest)
+    report = IdentityReport(
+        "graph-sum t-powers", (("kind", kind), ("k", k), ("i", i)), rest,
+        LaurentPolynomial({expected_power: rest.coefficient(expected_power)}))
+    if not report.passed:  # a t-power besides the expected one survived
+        raise VerificationError(report)
     return -rest.coefficient(expected_power)
 
 

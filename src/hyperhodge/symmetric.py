@@ -28,12 +28,10 @@ Values = Sequence[RationalLike]
 
 def _product(values: Values, sign: int = 1,
              degree: Optional[int] = None) -> list[Rational]:
-    # coefficients of prod_j (1 + sign * x_j t) up to ``degree``; the value
-    # is negated rather than scaled by ``sign``, which may be a float
+    # coefficients of prod_j (1 + sign * x_j t) up to ``degree``
     coeffs = [ONE]
     for v in values:
-        c = _coerce(v)
-        coeffs = kernels.times_linear(coeffs, c if sign == 1 else -c, degree)
+        coeffs = kernels.times_linear(coeffs, sign * _coerce(v), degree)
     return coeffs
 
 
@@ -53,8 +51,10 @@ def gen_product(values: Values, sign: int = 1) -> DensePolynomial:
 
     The empty product is the constant polynomial 1.
     """
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
+    # a bool or a float equal to 1 is no integer argument either
+    if (not isinstance(sign, int) or isinstance(sign, bool)
+            or sign not in (1, -1)):
+        raise DomainError(f"sign must be the integer 1 or -1, got {sign!r}")
     return DensePolynomial(_product(values, sign))
 
 

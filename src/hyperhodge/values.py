@@ -72,7 +72,7 @@ from math import comb
 from typing import Optional
 
 from . import kernels
-from .errors import DomainError, VerificationError
+from .errors import DomainError, IdentityReport, VerificationError
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -122,6 +122,8 @@ class MemoTable:
         Growth happens on copies that are published whole, so a concurrent
         reader never sees a half-built k.
         """
+        _check_int("cap", cap, 0)
+        _check_even_k(k_max, 2)
         held, D, d = self._families
         if held < cap:
             held, D, d = cap, {}, {}
@@ -177,13 +179,15 @@ def closed_families(degree: int, k_max: int) -> tuple[dict, dict]:
     return D, d
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: D(2, 8.0) must not hit D(2, 8)
+# bounded: a long-lived process keeps at most 1024 values of each kind, far
+# more than a batch of point queries checks; typed: D(2, 8.0) is no D(2, 8)
+@lru_cache(maxsize=1024, typed=True)
 def closed_D(i: int, k: int) -> Fraction:
     """(1/2)**(i+1) * e_i(1, 3, ..., k-3); zero once i exceeds (k-2)/2."""
     return _closed_value("D", i, k)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=1024, typed=True)
 def closed_d(i: int, k: int) -> Fraction:
     """(1/2)**(i+1) * e_i(2, 4, ..., k-2); zero once i exceeds (k-2)/2."""
     return _closed_value("d", i, k)
@@ -291,7 +295,7 @@ def table(max_k: int) -> list[tuple[HodgeValueKey, Fraction]]:
     before d, each family is then compared coefficient by coefficient with
     the closed one at k off ``closed_families``, so the first mismatch is at
     the key where the routes first part; it raises VerificationError naming
-    the key and both values.
+    the key, the recursive value (computed) and the closed one (expected).
     Rows come back in (kind, k, i) order.
     """
     _check_even_k(max_k, 4)
@@ -304,13 +308,10 @@ def table(max_k: int) -> list[tuple[HodgeValueKey, Fraction]]:
             pairs = zip(closed[kind][k], recursive[kind][k])
             for i, (expected, computed) in enumerate(pairs):
                 if expected != computed:
-                    key = HodgeValueKey(kind, i, k)
-                    expected = _unscale(expected, i)
-                    computed = _unscale(computed, i)
-                    raise VerificationError(
-                        f"closed/recursive mismatch for {key}: "
-                        f"closed {expected}, recursive {computed}",
-                        key=key, expected=expected, computed=computed)
+                    raise VerificationError(IdentityReport(
+                        "closed-vs-recursive",
+                        (("kind", kind), ("i", i), ("k", k)),
+                        _unscale(computed, i), _unscale(expected, i)))
     return [(HodgeValueKey(kind, i, k), _unscale(c, i))
             for kind in kinds for k in range(4, max_k + 1, 2)
             for i, c in enumerate(closed[kind][k])]

@@ -14,8 +14,7 @@ import pytest
 
 from hyperhodge import cli, identities, values
 from hyperhodge.algebra import DensePolynomial
-from hyperhodge.errors import VerificationError
-from hyperhodge.identities import IdentityReport
+from hyperhodge.errors import IdentityReport, VerificationError
 from hyperhodge.values import HodgeValueKey
 
 
@@ -276,19 +275,20 @@ def test_raised_verification_error_is_the_suite_failure(monkeypatch, capsys):
     def disagreeing_sums(draws, bound):
         for draw in draws:
             if len(draw) == 2:
-                raise VerificationError(
-                    "product/elementary-symmetric routes disagree",
-                    key=((Fraction(1, 3), Fraction(-2)), bound),
-                    expected=Fraction(5, 7), computed=Fraction(-1, 2))
+                raise VerificationError(IdentityReport(
+                    "product/elementary-symmetric routes",
+                    (("values", (Fraction(1, 3), Fraction(-2))),
+                     ("bound", bound)), Fraction(-1, 2), Fraction(5, 7)))
             yield from real_sums([draw], bound)
 
     monkeypatch.setattr(identities, "product_vanishing_sums", disagreeing_sums)
     code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
     assert code == 1
+    # the raised report is the failure, printed once as it came
     assert out.splitlines() == [
         "identities: FAILED after 123 passing checks",
-        "identity product/elementary-symmetric routes disagree"
-        " [key=((Fraction(1, 3), Fraction(-2, 1)), 3)]: FAIL",
+        "identity product/elementary-symmetric routes"
+        " [values=(Fraction(1, 3), Fraction(-2, 1)), bound=3]: FAIL",
         "  computed: -1/2",
         "  expected: 5/7",
     ]
@@ -323,8 +323,8 @@ def test_mid_batch_disagreement_follows_the_earlier_draws(monkeypatch):
     assert code == 1
     assert out.splitlines() == [
         "identities: FAILED after 172 passing checks",  # 23 + 100 + 49
-        "identity product/elementary-symmetric routes disagree"
-        f" [key={(tuple(faulty), 3)}]: FAIL",
+        "identity product/elementary-symmetric routes"
+        f" [values={tuple(faulty)}, bound=3]: FAIL",
         f"  computed: {faulty[0] * faulty[1]}",
         "  expected: 0",
     ]
@@ -338,13 +338,14 @@ def test_fault_injected_base_value_fails_verify(inject_base_value):
 
 
 def test_fault_injected_base_value_fails_table(inject_base_value, capsys):
-    key = HodgeValueKey("d", 1, 6)
-    inject_base_value(key, Fraction(7, 2))
+    inject_base_value(HodgeValueKey("d", 1, 6), Fraction(7, 2))
     code, _ = run_cli("table", "--max-k", "8", "--format", "csv")
     assert code == 1
     assert capsys.readouterr().err == (
-        f"verification failure: closed/recursive mismatch for {key}: "
-        "closed 3/2, recursive 7/2\n")
+        "verification failure: identity closed-vs-recursive"
+        " [kind=d, i=1, k=6]: FAIL\n"
+        "  computed: 7/2\n"
+        "  expected: 3/2\n")
 
 
 def test_help_exits_zero():

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from hyperhodge import identities, kernels
 from hyperhodge.algebra import DensePolynomial
-from hyperhodge.errors import DomainError, VerificationError
-from hyperhodge.identities import (IdentityReport, P_poly, Q_poly,
-                                   alternating_power_sum,
+from hyperhodge.errors import DomainError, IdentityReport, VerificationError
+from hyperhodge.identities import (P_poly, Q_poly, alternating_power_sum,
                                    alternating_power_sums, eqn_check,
                                    hat_root_values, hat_transform,
                                    product_vanishing_sum,
@@ -142,10 +141,13 @@ def test_product_vanishing_route_disagreement_raises(monkeypatch):
     values = [Fraction(1, 3), Fraction(-2)]
     with pytest.raises(VerificationError) as caught:
         product_vanishing_sum(values, 3)
-    assert caught.value.key == (tuple(values), 3)
-    assert caught.value.expected == reference_routes(values, 3)[0] == 0
-    # the r = 0 term gained e_2(values) = -2/3
-    assert caught.value.computed == Fraction(-2, 3)
+    report = caught.value.report
+    assert report.parameters == (("values", tuple(values)), ("bound", 3))
+    # expected: the direct route; computed: the expanded one, whose r = 0
+    # term gained e_2(values) = -2/3
+    assert report.expected == reference_routes(values, 3)[0] == 0
+    assert report.computed == Fraction(-2, 3)
+    assert str(caught.value) == report.describe()
 
 
 def test_product_vanishing_bound_validation():
@@ -265,9 +267,9 @@ def test_exact_division_by_a_linear_factor():
     assert identities._divide_linear([1, -1, -6], -3) == [1, 2]
     with pytest.raises(VerificationError) as caught:
         identities._divide_linear([1, -1, -5], 2)
-    assert caught.value.key == ((1, -1, -5), 2)
-    assert caught.value.expected == 0
-    assert caught.value.computed == 1
+    report = caught.value.report
+    assert report.parameters == (("coefficients", (1, -1, -5)), ("c", 2))
+    assert (report.computed, report.expected) == (1, 0)  # the remainder
 
 
 def test_Q_poly_g1_by_hand():

@@ -209,3 +209,59 @@ def test_cli_imports_neither_json_nor_csv_at_module_level():
         if any(name.split(".")[0] in ("json", "csv") for name in names):
             offences.append(f"cli.py:{node.lineno}")
     assert not offences, offences
+
+
+def _bound_name(alias):
+    # ``import a.b`` binds ``a``; ``from m import x as y`` binds ``y``
+    return alias.asname or alias.name.split(".")[0]
+
+
+def test_no_module_level_import_goes_unused():
+    # no linter runs here; an import a refactor leaves behind costs every
+    # process that loads the module, and may load a module for nothing
+    offences = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {_bound_name(alias): node.lineno for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        # a function importing a name binds its own, shadowing the module's
+        shadowed = set()
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local = {_bound_name(alias) for node in ast.walk(func)
+                         if isinstance(node, (ast.Import, ast.ImportFrom))
+                         for alias in node.names}
+                shadowed |= {id(node) for node in ast.walk(func)
+                             if isinstance(node, ast.Name)
+                             and node.id in local}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and id(node) not in shadowed}
+        offences += [f"{path.name}:{line} imports {name}"
+                     for name, line in imported.items() if name not in used]
+    assert not offences, offences
+
+
+def test_every_verification_error_carries_an_identity_report():
+    # one failure shape: VerificationError(report), the report built by
+    # IdentityReport(...) in the call or bound to a name just before it
+    def is_report(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "IdentityReport")
+
+    offences = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reports = {target.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and is_report(node.value)
+                   for target in node.targets}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "VerificationError"
+                    and not (len(node.args) == 1 and not node.keywords
+                             and (is_report(node.args[0])
+                                  or getattr(node.args[0], "id", None)
+                                  in reports))):
+                offences.append(f"{path.name}:{node.lineno}")
+    assert not offences, offences

@@ -6,9 +6,9 @@ from math import comb
 
 import pytest
 
-from hyperhodge import cli, kernels, values
+from hyperhodge import cli, kernels, localization, values
 from hyperhodge.algebra import LaurentPolynomial, laurent_sum
-from hyperhodge.errors import DomainError
+from hyperhodge.errors import DomainError, VerificationError
 from hyperhodge.localization import (LocalizationGraph, auxiliary_integral,
                                      auxiliary_integrals,
                                      contribution_template, enumerate_family,
@@ -218,6 +218,30 @@ def test_graph_sum_rederives_D_recursion(k):
 def test_graph_sum_rederives_d_recursion(k):
     for i in range((k - 2) // 2 + 1):
         assert localization_d(i, k) == recursive_d(i, k)
+
+
+def test_stray_t_power_is_reported_with_the_rest_of_the_sum(monkeypatch):
+    # one t-power too many on the graphs with two half-edges over infinity
+    # moves their terms off the power the j = 0 family sits at
+    genuine = localization._template
+
+    def shifted(insertion, zero_edges, infty_edges):
+        sign, t_power, series = genuine(insertion, zero_edges, infty_edges)
+        return sign, t_power + (infty_edges == 2), series
+
+    monkeypatch.setattr(localization, "_template", shifted)
+    k, i, power = 8, 1, 1 - (8 - 3)
+    rest = localization._unscaled(localization._graph_sum("A", k, 1), i)
+    assert set(rest.support()) - {power}
+    with pytest.raises(VerificationError) as caught:
+        localization_D(i, k)
+    report = caught.value.report
+    assert report.parameters == (("kind", "A"), ("k", k), ("i", i))
+    # computed: the j >= 1 sum; expected: that sum cut to its expected power
+    assert report.computed == rest
+    assert report.expected == LaurentPolynomial(
+        {power: rest.coefficient(power)})
+    assert not report.passed
 
 
 def test_graph_sum_rejects_bad_input(monkeypatch):

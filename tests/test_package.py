@@ -63,7 +63,8 @@ def test_localization_sweep_loads_neither_symmetric_nor_dataclasses():
                           "assert cli.main(['verify-localization', "
                           "'--max-k', '8']) == 0")
     assert "hyperhodge.localization" in loaded
-    assert not loaded & {"hyperhodge.symmetric", "dataclasses"}
+    assert not loaded & {"hyperhodge.symmetric", "hyperhodge.identities",
+                         "dataclasses"}
 
 
 def test_submodules_resolve_after_a_bare_import():
@@ -82,6 +83,13 @@ def test_every_public_name_resolves():
     assert set(hyperhodge.__all__) <= set(dir(hyperhodge))
     assert {"__version__", "KERNEL_BACKEND"} <= set(dir(hyperhodge))
     assert hyperhodge.closed_D is hyperhodge.values.closed_D
+
+
+def test_identity_report_is_one_record_under_both_names():
+    # it lives in errors beside VerificationError, which carries one
+    report = hyperhodge.errors.IdentityReport
+    assert hyperhodge.IdentityReport is report
+    assert hyperhodge.identities.IdentityReport is report
 
 
 def test_public_name_follows_a_replaced_module_attribute(monkeypatch):

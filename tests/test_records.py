@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hyperhodge import cli
-from hyperhodge.errors import DomainError
-from hyperhodge.identities import IdentityReport
+from hyperhodge.errors import DomainError, IdentityReport
 from hyperhodge.localization import (ContributionTemplate, LocalizationGraph,
                                      VertexModuli)
 from hyperhodge.values import HodgeValueKey
@@ -141,11 +140,9 @@ def test_injected_base_value_failure_text_is_pinned(inject_base_value,
                                                      capsys):
     inject_base_value(HodgeValueKey("D", 1, 4), Fraction(1, 5))
     assert cli.main(["verify", "--max-k", "8", "--max-g", "3"]) == 1
-    key = "HodgeValueKey(kind='D', i=1, k=4)"
     assert capsys.readouterr().out == (
         "identities: 532 checks passed\n"
         "closed-vs-recursive: FAILED after 0 passing checks\n"
-        f"identity closed/recursive mismatch for {key}: closed 1/4, "
-        f"recursive 1/5 [key={key}]: FAIL\n"
+        "identity closed-vs-recursive [kind=D, i=1, k=4]: FAIL\n"
         "  computed: 1/5\n"
         "  expected: 1/4\n")

@@ -63,15 +63,9 @@ def test_gen_product_examples():
     assert one.coefficients == (Fraction(1),)
     assert gen_product([1, 3]).coefficients == (1, 4, 3)
     assert gen_product([1, 3], sign=-1).coefficients == (1, -4, 3)
-
-
-def test_gen_product_float_sign_keeps_exact_coefficients():
-    # the sign picks the side of t but never enters the arithmetic
-    negated = gen_product([Fraction(1, 2), 3], -1.0).coefficients
+    negated = gen_product([Fraction(1, 2), 3], -1).coefficients
     assert negated == (1, Fraction(-7, 2), Fraction(3, 2))
     assert all(type(c) is Fraction for c in negated)
-    assert gen_product([Fraction(1, 2)], 1.0).coefficients \
-        == (1, Fraction(1, 2))
 
 
 def test_gen_product_sign_validation():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperhodge import identities, kernels, localization, values
+from hyperhodge import identities, kernels, localization, symmetric, values
 from hyperhodge.errors import DomainError, VerificationError
 from hyperhodge.values import (HodgeValueKey, MemoTable, base_value, closed_D,
                                closed_d, recursive_D, recursive_d, table)
@@ -79,6 +79,15 @@ def test_vanishing_beyond_genus():
         assert recursive_d(g + 1, k) == 0
 
 
+@pytest.mark.parametrize("closed", [closed_D, closed_d])
+def test_closed_value_caches_are_bounded(closed):
+    size = closed.cache_info().maxsize
+    closed.cache_clear()
+    for i in range(2, size + 3):  # size + 1 keys, each above k = 4's genus
+        assert closed(i, 4) == 0
+    assert closed.cache_info().currsize == size
+
+
 def test_closed_forms_above_the_genus_build_no_family():
     # a degree-i family would take seconds and hundreds of MB to say 0;
     # __wrapped__ bypasses the lru_cache, so the call is cold
@@ -138,6 +147,10 @@ def test_key_validation():
     pytest.param(lambda: localization.auxiliary_integrals("A", 8.0),
                  id="auxiliary_integrals"),
     pytest.param(lambda: HodgeValueKey("d", 1, 6.0), id="key"),
+    pytest.param(lambda: symmetric.gen_product([1, 3], 1.0),
+                 id="gen_product-sign"),
+    pytest.param(lambda: symmetric.gen_product([1, 3], -1.0),
+                 id="gen_product-negative-sign"),
 ])
 def test_non_integer_index_or_k_is_a_domain_error(call):
     # cached now, so closed_D(2, 8.0), equal as a cache key, must not hit it
@@ -161,6 +174,8 @@ def test_non_integer_index_or_k_is_a_domain_error(call):
                  id="vertex_integral-untwisted"),
     pytest.param(lambda: localization.vertex_integral(4, 0, True, 0),
                  id="vertex_integral-psi"),
+    pytest.param(lambda: symmetric.gen_product([1, 3], sign=True),
+                 id="gen_product-sign"),
 ])
 def test_a_bool_is_no_integer_argument(call):
     # each of these returned a value, as if True were 1 and False 0; and
@@ -297,6 +312,19 @@ def test_closed_families_have_the_recursion_shape():
         closed = values.closed_families(degree, k_max)
         recursive = MemoTable().families(degree, k_max)
         assert closed == recursive, (degree, k_max)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(values.closed_families, id="closed"),
+    pytest.param(lambda degree, k_max: MemoTable().families(degree, k_max),
+                 id="recursive"),
+])
+@pytest.mark.parametrize("degree, k_max", [
+    (-1, 8), (2, 7), (2, 0), (2, 8.0), (1.0, 8), (True, 8), (2, True)])
+def test_both_family_builders_refuse_the_same_bad_bounds(build, degree,
+                                                         k_max):
+    with pytest.raises(DomainError):
+        build(degree, k_max)
 
 
 def test_recursion_never_reads_the_closed_forms(monkeypatch):
@@ -438,9 +466,11 @@ def test_fault_injection_is_detected(inject_base_value, key, injected,
     inject_base_value(key, injected)
     with pytest.raises(VerificationError) as err:
         table(8)
-    assert err.value.key == key
-    assert err.value.expected == expected
-    assert err.value.computed == injected
+    report = err.value.report
+    assert report.parameters == (("kind", key.kind), ("i", key.i),
+                                 ("k", key.k))
+    # computed: the recursive value; expected: the closed one
+    assert (report.computed, report.expected) == (injected, expected)
 
 
 @settings(max_examples=25, deadline=None)
