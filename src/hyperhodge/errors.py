@@ -38,5 +38,8 @@ class VerificationError(Exception):
     """
 
     def __init__(self, report: IdentityReport):
-        super().__init__(report.describe())
+        super().__init__(report)  # a pickled copy is rebuilt from the args
         self.report = report
+
+    def __str__(self) -> str:
+        return self.report.describe()

@@ -51,7 +51,6 @@ def gen_product(values: Values, sign: int = 1) -> DensePolynomial:
 
     The empty product is the constant polynomial 1.
     """
-    # a bool or a float equal to 1 is no integer argument either
     if (not isinstance(sign, int) or isinstance(sign, bool)
             or sign not in (1, -1)):
         raise DomainError(f"sign must be the integer 1 or -1, got {sign!r}")

@@ -265,13 +265,11 @@ def _unscale(coefficient, i: int) -> Fraction:
 
 def recursive_D(i: int, k: int, memo: Optional[MemoTable] = None) -> Fraction:
     """D(i, k) via the recursion, through base values and the memo table."""
-    _check_even_k(k, 2)
     return _recursive(HodgeValueKey("D", i, k), memo)
 
 
 def recursive_d(i: int, k: int, memo: Optional[MemoTable] = None) -> Fraction:
     """d(i, k) via the recursion, through base values and the memo table."""
-    _check_even_k(k, 2)
     return _recursive(HodgeValueKey("d", i, k), memo)
 
 

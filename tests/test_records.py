@@ -4,12 +4,13 @@ Failure messages print these reprs, the memo and the tests compare keys by
 value, and the validating records refuse bad fields when they are built.
 """
 
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from hyperhodge import cli
-from hyperhodge.errors import DomainError, IdentityReport
+from hyperhodge.errors import DomainError, IdentityReport, VerificationError
 from hyperhodge.localization import (ContributionTemplate, LocalizationGraph,
                                      VertexModuli)
 from hyperhodge.values import HodgeValueKey
@@ -134,6 +135,14 @@ def test_record_properties():
     assert not report.passed
     assert report.describe() == ("identity eqn [g=2, k=6]: FAIL\n"
                                  "  computed: 1\n  expected: 2")
+
+
+def test_verification_error_survives_a_pickle_round_trip():
+    # the exception is rebuilt from its args, so they hold the report
+    report = IdentityReport("eqn", (("g", 2), ("k", 6)), 1, 2)
+    copy = pickle.loads(pickle.dumps(VerificationError(report)))
+    assert copy.report == report
+    assert str(copy) == report.describe()
 
 
 def test_injected_base_value_failure_text_is_pinned(inject_base_value,
