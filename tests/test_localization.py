@@ -230,7 +230,8 @@ def test_stray_t_power_is_reported_with_the_rest_of_the_sum(monkeypatch):
         return sign, t_power + (infty_edges == 2), series
 
     monkeypatch.setattr(localization, "_template", shifted)
-    k, i, power = 8, 1, 1 - (8 - 3)
+    k, i = 8, 1
+    power = i - (k - 3)  # D(i, k)'s power in the j = 0 family
     rest = localization._unscaled(localization._graph_sum("A", k, 1), i)
     assert set(rest.support()) - {power}
     with pytest.raises(VerificationError) as caught:
