@@ -31,7 +31,7 @@ ONE = Fraction(1)
 def _coerce(value) -> Rational:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 

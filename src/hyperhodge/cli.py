@@ -71,13 +71,17 @@ def _identity_checks(max_g: int):
                 "alternating-power-sum vanishing", (("m", m), ("p", p)),
                 row[p], 0)
 
-    rng = random.Random(20220408)  # fixed: the emitted report is deterministic
+    # fixed seed, so the emitted report is deterministic; the draws are
+    # Fraction(rng.randint(-99, 99), rng.randint(1, 20)) in order (a test
+    # pins them), read from the 199 x 20 rationals built once
+    rng = random.Random(20220408)
+    rationals = [[Fraction(a, b) for b in range(1, 21)]
+                 for a in range(-99, 100)]
     for n in range(1, min(max_g, 10) + 1):
         for bound in (2 * n - 1, 2 * n):
             if bound == 2 * n - 1 and n < 2:
                 continue  # sharp boundary: the 2n-1 variant needs n >= 2
-            draws = ([Fraction(rng.randint(-99, 99), rng.randint(1, 20))
-                      for _ in range(n)] for _ in range(100))
+            draws = _seeded_draws(rng.getrandbits, rationals, n, 100)
             for total in identities.product_vanishing_sums(draws, bound):
                 yield IdentityReport(
                     "product vanishing", (("n", n), ("bound", bound)),
@@ -95,6 +99,26 @@ def _identity_checks(max_g: int):
     for g in range(1, max_g + 1):
         yield IdentityReport(
             "Q(t) vanishing", (("g", g),), identities.Q_poly(g), zero)
+
+
+def _seeded_draws(getrandbits, rationals, n: int, count: int):
+    """``count`` draws of n entries rationals[a][b], a < 199 and b < 20.
+
+    Each index is drawn as ``random.randint`` draws one below 199 or 20:
+    the bit length of 199 (8) or 20 (5) in bits, drawn again while the
+    value is out of range.
+    """
+    for _ in range(count):
+        draw = []
+        for _ in range(n):
+            a = getrandbits(8)
+            while a >= 199:
+                a = getrandbits(8)
+            b = getrandbits(5)
+            while b >= 20:
+                b = getrandbits(5)
+            draw.append(rationals[a][b])
+        yield draw
 
 
 def run_identity_suite(max_g: int) -> SuiteOutcome:

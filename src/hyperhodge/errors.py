@@ -13,7 +13,8 @@ class IdentityReport(namedtuple("IdentityReport",
                                 "name parameters computed expected")):
     """Outcome of one check; passes iff computed == expected exactly.
 
-    ``parameters`` is a tuple of (name, value) pairs.
+    ``parameters`` is a tuple of (name, value) pairs; ``describe`` prints a
+    tuple value element by element with ``str``, as it prints the values.
     """
 
     __slots__ = ()
@@ -23,11 +24,17 @@ class IdentityReport(namedtuple("IdentityReport",
         return self.computed == self.expected
 
     def describe(self) -> str:
-        params = ", ".join(f"{k}={v}" for k, v in self.parameters)
+        params = ", ".join(f"{k}={_text(v)}" for k, v in self.parameters)
         status = "pass" if self.passed else "FAIL"
         return (f"identity {self.name} [{params}]: {status}\n"
                 f"  computed: {self.computed}\n"
                 f"  expected: {self.expected}")
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):  # (1/3, -2), not (Fraction(1, 3), ...)
+        return "(" + ", ".join(map(str, value)) + ")"
+    return str(value)
 
 
 class VerificationError(Exception):

@@ -14,10 +14,13 @@ of facts verified here, in the order the proof machinery uses them:
   for m = 2n - 1 once n >= 2, since the product expands into powers k**r
   with r <= n.  The rationals are cleared by one common denominator L, and
   the sum is taken twice on ints: directly over prod(L*m_i - k*L), and
-  through the elementary symmetric functions of the L*m_i.
-  ``product_vanishing_sums(draws, bound)`` takes a batch of draws with one
-  bound: the signed binomials and the alternating-power-sum row are built
-  once per batch, and each draw's sum is yielded as soon as it is checked.
+  through the elementary symmetric functions of the L*m_i, whose e_0..e_n
+  are updated in place one value at a time and summed by Horner's rule in
+  -L.  ``product_vanishing_sums(draws, bound)`` takes a batch of draws
+  with one bound: the signed binomials and the alternating-power-sum row
+  are built once per batch, and each draw's sum is yielded as soon as it
+  is checked: the shared ``algebra.ZERO`` when it vanishes, L**n being
+  formed only for a nonzero sum or a failure report.
 * ``eqn_check``: the polynomial identity equivalent to the D-recursion once
   the closed forms are substituted and everything is packed into generating
   products: the recursion's own step (``values.recursion_step``) fed the
@@ -93,8 +96,10 @@ def product_vanishing_sums(draws, bound: int) -> Iterator[Rational]:
 
     The signed binomials and the row alternating_power_sums(bound, n) depend
     on the bound alone (n is the one with bound in (2n-1, 2n)), so they are
-    built once per call.  Draws are read and their sums yielded one at a
-    time: a failing draw raises only after every earlier sum was yielded.
+    built once per call, and the row is read afresh for each draw.  Draws
+    are read and their sums yielded one at a time: a failing draw raises
+    only after every earlier sum was yielded.  A bool value is refused,
+    like a float or str, with DomainError.
     """
     _check_int("bound", bound, 0)
     binomials = _signed_binomials(bound)
@@ -110,8 +115,9 @@ def product_vanishing_sums(draws, bound: int) -> Iterator[Rational]:
         if bound not in (2 * n - 1, 2 * n):
             raise DomainError(
                 f"bound must be {2 * n - 1} or {2 * n}, got {bound}")
-        L = lcm(*(v.denominator for v in values))
-        M = [v.numerator * (L // v.denominator) for v in values]
+        denominators = [v.denominator for v in values]
+        L = lcm(*denominators)
+        M = [v.numerator * (L // d) for v, d in zip(values, denominators)]
 
         direct = 0
         for k, product in enumerate(binomials):
@@ -120,21 +126,22 @@ def product_vanishing_sums(draws, bound: int) -> Iterator[Rational]:
                 product *= m - kL
             direct += product
 
-        # prod(M_i - k*L) = sum((-1)**r * e_{n-r}(M) * (k*L)**r)
-        e = reduce(kernels.times_linear, M, [1])
+        # prod(M_i - k*L) = sum(e_{n-r}(M) * (-k*L)**r): e_0..e_n of M built
+        # in place, then the sum over r taken by Horner's rule in -L
+        e = [1] + [0] * n
+        for j, m in enumerate(M, 1):
+            for i in range(j, 0, -1):
+                e[i] += m * e[i - 1]
         expanded = 0
-        L_power = 1
-        for r in range(n + 1):
-            term = e[n - r] * L_power * row[r]
-            expanded = expanded + term if r % 2 == 0 else expanded - term
-            L_power *= L
+        for e_j, entry in zip(e, reversed(row)):
+            expanded = expanded * -L + e_j * entry
 
         if direct != expanded:
             raise VerificationError(IdentityReport(
                 "product/elementary-symmetric routes",
                 (("values", tuple(values)), ("bound", bound)),
                 Fraction(expanded, L ** n), Fraction(direct, L ** n)))
-        yield Fraction(direct, L ** n)
+        yield Fraction(direct, L ** n) if direct else ZERO
 
 
 def eqn_check(g: int) -> IdentityReport:

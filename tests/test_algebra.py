@@ -89,6 +89,12 @@ def test_trailing_zeros_are_stripped():
     assert DensePolynomial([0, 0]).is_zero()
 
 
+@pytest.mark.parametrize("coefficients", [[True], [1, 0.5]])
+def test_coefficients_must_be_rationals_not_bools_or_floats(coefficients):
+    with pytest.raises(TypeError):
+        DensePolynomial(coefficients)
+
+
 def test_poly_evaluation():
     p = DensePolynomial([1, 4, 3])
     assert p(0) == 1

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -251,6 +252,36 @@ def test_product_vanishing_draws_follow_max_g():
     assert "identities: 106 checks passed\n" in out
 
 
+def test_seeded_draws_are_the_former_randint_draws(monkeypatch):
+    # The sampler must hand out exactly the draws randint gave, in order,
+    # so a failure report names the same draw it always did.
+    real_sums = identities.product_vanishing_sums
+    batches = []
+
+    def recorded_sums(draws, bound):
+        batch = []
+        batches.append((bound, batch))
+
+        def recorded():
+            for draw in draws:
+                batch.append(list(draw))
+                yield draw
+        return real_sums(recorded(), bound)
+
+    monkeypatch.setattr(identities, "product_vanishing_sums", recorded_sums)
+    code, out = run_cli("verify-identities", "--max-g", "10")
+    assert code == 0
+    rng = random.Random(20220408)
+    expected = [
+        (bound, [[Fraction(rng.randint(-99, 99), rng.randint(1, 20))
+                  for _ in range(n)] for _ in range(100)])
+        for n in range(1, 11) for bound in (2 * n - 1, 2 * n) if bound > 1]
+    assert sum(len(draw) for _, batch in expected for draw in batch) == 10900
+    # the 19 seeded batches come first, then one hat-root batch per g = 2..10
+    assert batches[:19] == expected
+    assert [len(batch) for _, batch in batches[19:]] == list(range(3, 12))
+
+
 def test_failing_report_ends_verify_before_later_suites(monkeypatch):
     real_q = identities.Q_poly
     t = DensePolynomial([0, 1])
@@ -288,7 +319,7 @@ def test_raised_verification_error_is_the_suite_failure(monkeypatch, capsys):
     assert out.splitlines() == [
         "identities: FAILED after 123 passing checks",
         "identity product/elementary-symmetric routes"
-        " [values=(Fraction(1, 3), Fraction(-2, 1)), bound=3]: FAIL",
+        " [values=(1/3, -2), bound=3]: FAIL",
         "  computed: -1/2",
         "  expected: 5/7",
     ]
@@ -324,7 +355,7 @@ def test_mid_batch_disagreement_follows_the_earlier_draws(monkeypatch):
     assert out.splitlines() == [
         "identities: FAILED after 172 passing checks",  # 23 + 100 + 49
         "identity product/elementary-symmetric routes"
-        f" [values={tuple(faulty)}, bound=3]: FAIL",
+        f" [values=({faulty[0]}, {faulty[1]}), bound=3]: FAIL",
         f"  computed: {faulty[0] * faulty[1]}",
         "  expected: 0",
     ]

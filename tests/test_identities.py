@@ -165,6 +165,8 @@ def test_product_vanishing_bound_validation():
         list(product_vanishing_sums([[Fraction(1)], [0.5]], 2))
     with pytest.raises(DomainError):
         list(product_vanishing_sums([[Fraction(1)], ["3"]], 2))
+    with pytest.raises(DomainError):
+        product_vanishing_sum([True], 2)
 
 
 @pytest.mark.parametrize("call, args", [
