@@ -28,10 +28,9 @@ _SUBMODULES = {name: module for module, names in {
     "identities": "P_poly Q_poly alternating_power_sum eqn_check "
                   "hat_root_values hat_transform product_vanishing_sum",
     "localization": "ContributionTemplate LocalizationGraph VertexModuli "
-                    "auxiliary_integral auxiliary_integrals "
-                    "contribution_template enumerate_family "
-                    "graph_contribution localization_D localization_d "
-                    "vertex_integral vertex_moduli_of",
+                    "auxiliary_integral contribution_template "
+                    "enumerate_family graph_contribution localization_D "
+                    "localization_d vertex_integral vertex_moduli_of",
     "symmetric": "elementary gen_product signed_convolution",
     "values": "HodgeValueKey MemoTable base_value closed_D closed_d "
               "recursive_D recursive_d table",

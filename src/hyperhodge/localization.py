@@ -32,8 +32,9 @@ Two insertion recipes are wired in: kind "A" integrates
 ev_1*(0) ev_2*(0) ev_3*(inf) lambda_i (points 1, 2 over 0, point 3 over
 infinity) and kind "B" integrates ev_1*(0) ev_2*(0) lambda_i.  Both live on
 a k-dimensional space and sit in degree k - 1 < k resp. k - 2 < k, so the
-full graph sum must vanish identically in t; extracting the j = 0 family
-from that vanishing reproduces the recursions in values.py.
+full graph sum must vanish identically in t.  The j = 0 graph holds D(i, k)
+resp. d(i, k) at t**(i+3-k) resp. t**(i+2-k), sign +1: ``graph_family``
+reads each family off the j >= 1 graphs, minus their row at that power.
 
 Each graph is evaluated for every i at once, on ints.  A series vertex of
 dimension m pairs psi**(m-l) with lambda_l: its family over l is the scaled
@@ -43,7 +44,8 @@ sum(m+1)), P the product of its one or two signed families.  Family j's
 mirror j' = k-2-j (kind A) or k-j (B) swaps the half-edge counts over 0 and
 infinity.  A paired graph has two series vertices; moving each to the other
 side multiplies the term l_0 + l_inf = i by (-1)**(m_0-l_0+1+m_inf-l_inf+1),
-so P_j'[i] = (-1)**(m_0+m_inf+i) * P_j[i]: one convolution serves both.
+so P_j'[i] = (-1)**(m_0+m_inf+i) * P_j[i] = (-1)**i * P_j[i]: the vertices
+hold all k half-edges, so m_0 + m_inf = k - 4.  One convolution serves both.
 Unpaired: j = 0, B's j = 1 (one series vertex, no product) and the middle
 j = j'.  The pass sums into one int row per t-power, indexed by i.
 """
@@ -260,8 +262,7 @@ def _graph_sum(kind: FamilyKind, k: int, first_j: int) -> dict[int, list]:
         even = odd = sign * comb(free, j)
         if infty < zero <= free + extra:  # mirror j' = zero - extra: j's
             # dimensions, t-power, sign: >= 2 half-edges a side, no bare vertex
-            s = sign * comb(free, zero - extra)
-            s *= (-1) ** sum(vertex.dimension for vertex in series)
+            s = sign * comb(free, zero - extra)  # times (-1)**(k-4) = 1
             even, odd = even + s, odd - s
         row = rows.setdefault(power, [0] * (top + 1))
         for i, c in enumerate(product):
@@ -275,46 +276,40 @@ def _unscaled(rows: dict[int, list], i: int) -> LaurentPolynomial:
                              if i < len(row) and row[i])
 
 
-def auxiliary_integrals(kind: FamilyKind, k: int) -> list[LaurentPolynomial]:
-    """The full graph sum for every i = 0..(k-2)/2; each must come out zero.
-
-    One pass over the graphs.  Returned (rather than asserted) so callers
-    can check emptiness and report any survivor terms.
-    """
-    rows = _graph_sum(kind, k, 0)
-    return [_unscaled(rows, i) for i in range((k - 2) // 2 + 1)]
-
-
 def auxiliary_integral(kind: FamilyKind, k: int, i: int) -> LaurentPolynomial:
     """The full graph sum for lambda_i; zero once i exceeds (k-2)/2."""
     _check_int("lambda index i", i, 0)
     return _unscaled(_graph_sum(kind, k, 0), i)
 
 
-def localization_D(i: int, k: int) -> Rational:
-    """D(i, k) re-derived from the graph sum alone.
+def graph_family(kind: FamilyKind, k: int) -> list:
+    """2**(i+1) * D(i, k) (kind "A") or d(i, k) ("B") for i = 0..(k-2)/2.
 
-    The j = 0 family contributes D(i, k) * t**(i - (k-3)); the vanishing of
-    the full sum therefore pins D(i, k) to minus the remaining families'
-    coefficient at that power.
+    One pass over the j >= 1 graphs; a term off the j = 0 graph's power
+    raises VerificationError with the j >= 1 sum at the first i it reaches.
     """
-    return _extract("A", k, i, expected_power=i - (k - 3))
+    rows = _graph_sum(kind, k, 1)
+    power = 3 - k if kind == "A" else 2 - k  # j = 0's; fixed, not _template's
+    i = min((n for p, row in rows.items() if p != power
+             for n, c in enumerate(row) if c), default=None)
+    if i is not None:
+        rest = _unscaled(rows, i)
+        raise VerificationError(IdentityReport(
+            "graph-sum t-powers", (("kind", kind), ("k", k), ("i", i)), rest,
+            LaurentPolynomial({power + i: rest.coefficient(power + i)})))
+    return [-c for c in rows.get(power, [0] * ((k - 2) // 2 + 1))]
+
+
+def localization_D(i: int, k: int) -> Rational:
+    """D(i, k) re-derived from the graph sum alone; zero above the genus."""
+    _check_int("lambda index i", i, 0)
+    return _unscaled({0: graph_family("A", k)}, i).coefficient(i)
 
 
 def localization_d(i: int, k: int) -> Rational:
-    """d(i, k) re-derived from the graph sum alone (j = 0 family isolated)."""
-    return _extract("B", k, i, expected_power=i - (k - 2))
-
-
-def _extract(kind: FamilyKind, k: int, i: int, expected_power: int) -> Rational:
+    """d(i, k) re-derived from the graph sum alone; zero above the genus."""
     _check_int("lambda index i", i, 0)
-    rest = _unscaled(_graph_sum(kind, k, 1), i)
-    report = IdentityReport(
-        "graph-sum t-powers", (("kind", kind), ("k", k), ("i", i)), rest,
-        LaurentPolynomial({expected_power: rest.coefficient(expected_power)}))
-    if not report.passed:  # a t-power besides the expected one survived
-        raise VerificationError(report)
-    return -rest.coefficient(expected_power)
+    return _unscaled({0: graph_family("B", k)}, i).coefficient(i)
 
 
 def _check_insertion(graph: LocalizationGraph, insertion: FamilyKind) -> None:

@@ -9,12 +9,12 @@ import pytest
 from hyperhodge import cli, kernels, localization, values
 from hyperhodge.algebra import LaurentPolynomial, laurent_sum
 from hyperhodge.errors import DomainError, VerificationError
-from hyperhodge.localization import (LocalizationGraph, auxiliary_integral,
-                                     auxiliary_integrals,
+from hyperhodge.localization import (LocalizationGraph, VertexModuli,
+                                     auxiliary_integral,
                                      contribution_template, enumerate_family,
-                                     graph_contribution, localization_D,
-                                     localization_d, vertex_integral,
-                                     vertex_moduli_of)
+                                     graph_contribution, graph_family,
+                                     localization_D, localization_d,
+                                     vertex_integral, vertex_moduli_of)
 from hyperhodge.values import closed_D, closed_d, recursive_D, recursive_d
 
 
@@ -220,7 +220,8 @@ def test_graph_sum_rederives_d_recursion(k):
         assert localization_d(i, k) == recursive_d(i, k)
 
 
-def test_stray_t_power_is_reported_with_the_rest_of_the_sum(monkeypatch):
+def test_stray_t_power_is_reported_with_the_rest_of_the_sum(monkeypatch,
+                                                             capsys):
     # one t-power too many on the graphs with two half-edges over infinity
     # moves their terms off the power the j = 0 family sits at
     genuine = localization._template
@@ -230,12 +231,16 @@ def test_stray_t_power_is_reported_with_the_rest_of_the_sum(monkeypatch):
         return sign, t_power + (infty_edges == 2), series
 
     monkeypatch.setattr(localization, "_template", shifted)
-    k, i = 8, 1
-    power = i - (k - 3)  # D(i, k)'s power in the j = 0 family
-    rest = localization._unscaled(localization._graph_sum("A", k, 1), i)
-    assert set(rest.support()) - {power}
+    k = 8
+    rows = localization._graph_sum("A", k, 1)
+    # the first i with a term off D(i, k)'s power in the j = 0 family
+    i, rest, power = next(
+        (i, rest, i - (k - 3))
+        for i in range((k - 2) // 2 + 1)
+        for rest in [localization._unscaled(rows, i)]
+        if set(rest.support()) - {i - (k - 3)})
     with pytest.raises(VerificationError) as caught:
-        localization_D(i, k)
+        graph_family("A", k)
     report = caught.value.report
     assert report.parameters == (("kind", "A"), ("k", k), ("i", i))
     # computed: the j >= 1 sum; expected: that sum cut to its expected power
@@ -243,12 +248,21 @@ def test_stray_t_power_is_reported_with_the_rest_of_the_sum(monkeypatch):
     assert report.expected == LaurentPolynomial(
         {power: rest.coefficient(power)})
     assert not report.passed
+    # any value of the family fails alike, and the sweep reports it
+    with pytest.raises(VerificationError) as again:
+        localization_D((k - 2) // 2, k)
+    assert again.value.report == report
+    # inside the suite, not past it: d at k = 4 already has such a graph
+    assert cli.main(["verify-localization", "--max-k", "8"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "localization: FAILED after 0 passing checks\n"
+        "identity graph-sum t-powers [kind=B, k=4, i=0]: FAIL\n")
 
 
 def test_graph_sum_rejects_bad_input(monkeypatch):
     for bad in (("C", 8), ("A", 4), ("A", 7), ("B", 2), ("B", -2)):
         with pytest.raises(DomainError):
-            auxiliary_integrals(*bad)
+            graph_family(*bad)
         with pytest.raises(DomainError):
             auxiliary_integral(*bad, 0)
     with pytest.raises(DomainError):
@@ -285,8 +299,9 @@ def test_graph_sum_never_reads_the_recursion(monkeypatch):
     for name in ("recursion_step", "MemoTable", "recursive_D", "recursive_d",
                  "base_value"):
         monkeypatch.setattr(values, name, refuse)
-    assert all(p.is_zero() for p in auxiliary_integrals("A", 16))
+    assert all(p.is_zero() for p in all_integrals("A", 16))
     assert localization_d(2, 8) == Fraction(11, 2)
+    assert graph_family("A", 16) == values.closed_families(7, 16)[0][16]
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +345,12 @@ def reference_integral(kind, k, i):
                        for j in range(top + 1))
 
 
+def all_integrals(kind, k):
+    """auxiliary_integral(kind, k, i) for i = 0..(k-2)/2, off one pass."""
+    rows = localization._graph_sum(kind, k, 0)
+    return [localization._unscaled(rows, i) for i in range((k - 2) // 2 + 1)]
+
+
 def graph_cases(k_max):
     for kind, k_min in (("A", 6), ("B", 4)):
         for k in range(k_min, k_max + 1, 2):
@@ -350,8 +371,15 @@ def test_convolution_matches_the_split_route(kind, k):
 
 @pytest.mark.parametrize("kind,k", list(graph_cases(30)))
 def test_bulk_graph_sum_matches_the_single_queries(kind, k):
-    integrals = auxiliary_integrals(kind, k)
-    assert len(integrals) == (k - 2) // 2 + 1
+    # one graph_family pass against the per-value reads, and one _graph_sum
+    # pass over every i against auxiliary_integral
+    family = graph_family(kind, k)
+    single = localization_D if kind == "A" else localization_d
+    assert len(family) == (k - 2) // 2 + 1
+    for i in range(len(family) + 1):
+        expected = Fraction(family[i], 2 ** (i + 1)) if i < len(family) else 0
+        assert single(i, k) == expected
+    integrals = all_integrals(kind, k)
     for i in range(len(integrals) + 1):
         expected = integrals[i] if i < len(integrals) else LaurentPolynomial()
         assert auxiliary_integral(kind, k, i) == expected
@@ -380,7 +408,7 @@ def test_paired_pass_equals_graph_by_graph_sum(monkeypatch, faulty):
     monkeypatch.setattr(values, "closed_families", lru_cache(families))
     survivors = 0
     for kind, k in graph_cases(60):
-        paired = auxiliary_integrals(kind, k)
+        paired = all_integrals(kind, k)
         by_graph = [[] for _ in paired]
         for j in range(k - 2 if kind == "A" else k - 1):
             graph, multiplicity = enumerate_family(kind, k, j)
@@ -404,7 +432,7 @@ def test_graph_sum_runs_one_convolution_per_mirror_pair(monkeypatch):
     monkeypatch.setattr(kernels, "convolve", counting)
     for kind, k in graph_cases(40):
         calls.clear()
-        auxiliary_integrals(kind, k)
+        graph_family(kind, k)
         assert len(calls) == (k - 2) // 2, (kind, k)
 
 
@@ -430,23 +458,20 @@ def faulty_d8(monkeypatch):
 
 def test_fault_in_a_closed_family_fails_the_sweep(faulty_d8, capsys):
     assert closed_d(2, 8) == Fraction(45, 8)  # the fault is live
-    first = next((kind, k, i, survivor)
-                 for kind, k in graph_cases(12)
-                 for i in range((k - 2) // 2 + 1)
-                 for survivor in [reference_integral(kind, k, i)]
-                 if not survivor.is_zero())
-    kind, k, i, survivor = first
     assert cli.main(["verify-localization", "--max-k", "12"]) == 1
-    out = capsys.readouterr().out
-    assert "localization: FAILED after" in out
-    assert f"[kind={kind}, k={k}, i={i}]: FAIL\n" in out
-    assert f"  computed: {survivor}\n" in out
+    # k ascending, D before d: d at k = 4, both at k = 6, D and two d at 8;
+    # no j >= 1 graph at k = 8 reads d(2, 8), so the graph value is sound
+    assert capsys.readouterr().out == (
+        "localization: FAILED after 14 passing checks\n"
+        "identity graph-vs-closed [kind=d, i=2, k=8]: FAIL\n"
+        "  computed: 11/2\n"
+        "  expected: 45/8\n")
 
 
 def test_fault_survivors_match_the_split_route(faulty_d8):
     survivors = {(kind, k, i): integral
                  for kind, k in graph_cases(30)
-                 for i, integral in enumerate(auxiliary_integrals(kind, k))
+                 for i, integral in enumerate(all_integrals(kind, k))
                  if not integral.is_zero()}
     expected = {(kind, k, i): reference_integral(kind, k, i)
                 for kind, k in graph_cases(30)
@@ -454,3 +479,45 @@ def test_fault_survivors_match_the_split_route(faulty_d8):
     assert survivors
     assert survivors == {key: integral for key, integral in expected.items()
                          if not integral.is_zero()}
+
+
+def faulty_template(fault):
+    """localization._template with ``fault`` applied to what it returns."""
+    genuine = localization._template
+
+    def faulty(insertion, zero_edges, infty_edges):
+        return fault(insertion, *genuine(insertion, zero_edges, infty_edges))
+    return faulty
+
+
+# each fault leaves every graph sum vanishing, so only the values read off
+# them can show it; the first report is at the first key the walk reaches
+@pytest.mark.parametrize("fault,first", [
+    pytest.param(lambda kind, sign, power, series: (-sign, power, series),
+                 "graph-vs-closed [kind=d, i=0, k=4]", id="insertion-sign"),
+    pytest.param(lambda kind, sign, power, series: (sign, power + 1, series),
+                 "graph-sum t-powers [kind=B, k=4, i=0]", id="t-power"),
+    pytest.param(lambda kind, sign, power, series:
+                 (-sign if kind == "B" else sign, power, series),
+                 "graph-vs-closed [kind=d, i=0, k=4]", id="kind-B-sign"),
+])
+def test_graph_sum_template_fault_fails_the_sweep(monkeypatch, capsys, fault,
+                                                  first):
+    monkeypatch.setattr(localization, "_template", faulty_template(fault))
+    assert all(p.is_zero() for p in all_integrals("A", 10))
+    assert cli.main(["verify-localization", "--max-k", "12"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("localization: FAILED after 0 passing checks\n")
+    assert f"identity {first}: FAIL\n" in out
+
+
+def test_swapped_vertex_sides_fail_the_sweep(monkeypatch, capsys):
+    monkeypatch.setattr(VertexModuli, "sign", property(
+        lambda vertex: -1 if vertex.side == "zero" else 1))
+    assert all(p.is_zero() for p in all_integrals("B", 10))
+    assert cli.main(["verify-localization", "--max-k", "12"]) == 1
+    assert capsys.readouterr().out == (
+        "localization: FAILED after 1 passing checks\n"
+        "identity graph-vs-closed [kind=d, i=1, k=4]: FAIL\n"
+        "  computed: -1/2\n"
+        "  expected: 1/2\n")

@@ -144,8 +144,8 @@ def test_key_validation():
     pytest.param(lambda: recursive_D(2, 8.0), id="recursive_D-k"),
     pytest.param(lambda: recursive_D(1.0, 4), id="recursive_D-i"),
     pytest.param(lambda: table(8.0), id="table"),
-    pytest.param(lambda: localization.auxiliary_integrals("A", 8.0),
-                 id="auxiliary_integrals"),
+    pytest.param(lambda: localization.graph_family("A", 8.0),
+                 id="graph_family"),
     pytest.param(lambda: HodgeValueKey("d", 1, 6.0), id="key"),
     pytest.param(lambda: symmetric.gen_product([1, 3], 1.0),
                  id="gen_product-sign"),
