@@ -23,9 +23,9 @@ of facts verified here, in the order the proof machinery uses them:
   formed only for a nonzero sum or a failure report.
 * ``eqn_check``: the polynomial identity equivalent to the D-recursion once
   the closed forms are substituted and everything is packed into generating
-  products: the recursion's own step (``values.recursion_step``) fed the
-  closed-form families of ``values.closed_families``, in the same
-  ``{k: coefficients}`` dicts, cut at the genus, that the recursion builds.
+  products: the A_k that the recursion's own ``values.recursion_steps``
+  yields first (it is never resumed for a_k), fed the families of
+  ``values.closed_families`` in the shape the recursion builds them.
 * ``P_poly`` / ``hat_transform``: the alternating sum of shifted generating
   products whose vanishing (degree <= g, yet g + 1 roots after the
   reversal substitution t -> 1/t) proves eqn; P_poly(1) = t, so the
@@ -46,7 +46,7 @@ from typing import Iterator
 from . import kernels
 from .algebra import DensePolynomial, Rational, ZERO, _coerce
 from .errors import DomainError, IdentityReport, VerificationError
-from .values import _check_int, closed_families, recursion_step
+from .values import _check_int, closed_families, recursion_steps
 
 
 def _signed_binomials(m: int) -> list[int]:
@@ -148,13 +148,13 @@ def eqn_check(g: int) -> IdentityReport:
     """The generating-product identity equivalent to the D-recursion.
 
     Left side: the closed A_k = prod over n in 1..g of (1 + (2n-1)t), with
-    k = 2g + 2.  Right side: values.recursion_step for A_k, fed the closed
-    families A_k' and a_k': the signed binomial combination of split
-    products, with odd j in 1..2g-1 and even j in 2..2g-2.  Every split
-    product has degree at most g, so the step's degree cap g drops nothing.
-    All families come from one values.closed_families product, each cut at
-    its genus, the length the recursion's families have, so no zero padding
-    is multiplied.
+    k = 2g + 2.  Right side: the A_k that values.recursion_steps yields
+    first, fed the closed families A_k' and a_k': the signed binomial sum of
+    split products, odd j in 1..2g-1 and even j in 2..2g-2, one convolution
+    per mirror pair, g in all; a_k is never computed.  Every split product
+    has degree at most g, so the step's degree cap g drops nothing.  The
+    families are cut at their genus, the length the recursion's families
+    have, so no zero padding is multiplied.
     """
     _check_int("g", g, 2)
     k = 2 * g + 2
@@ -162,7 +162,7 @@ def eqn_check(g: int) -> IdentityReport:
     return IdentityReport(
         name="generating-product identity",
         parameters=(("g", g), ("k", k)),
-        computed=DensePolynomial(recursion_step("D", k, D, d, g)),
+        computed=DensePolynomial(next(recursion_steps(k, D, d, g))),
         expected=DensePolynomial(D[k]),
     )
 

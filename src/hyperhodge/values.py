@@ -37,19 +37,21 @@ localization.py for the graph-sum derivation) give
 The coefficient of t**i in V(t) * W(-t) is the lambda-class splitting sum
 sum((-1)**l * V_{i-l} * W_l), and the recursion's factor 2 cancels the 1/2
 the scaling leaves on each product, so the step needs no denominators.
-Split j's mirror j' swaps its two families (indices k-1-j, j+1 or k-j, j+2
-for A_k; k+1-j, j+1 or k-j, j for a_k), so j' = k-2-j for A_k and k-j for
-a_k, of j's parity and sign, and P_j'(t) = P_j(-t) for the split products
-P.  A pair adds (s_j + (-1)**i * s_j') * P_j[i] at t**i, s_j the signed
-binomial.  Unpaired: the middle j = j', and j = 1 for a_k (C(k-2, k-1) = 0).
-``recursion_step`` is that one step; ``identities.eqn_check`` feeds it the
-closed-form families, which ``closed_families`` builds as those integer
-products for k = 2, 4, ... in turn, one factor per step.  Both routes hand
-out their families in one shape: a dict per kind, keyed by k, each family
+The two sums multiply the same pairs: A_k's split j, P_j(t) =
+a_{k-1-j}(t) * a_{j+1}(-t) (odd j) or A_{k-j}(t) * A_{j+2}(-t) (even j),
+is a_k's split j + 1, and its mirror j' = k-2-j swaps the two families,
+so P_j'(t) = P_j(-t).  One product per j in 1..(k-2)/2 thus adds
+(s + (-1)**i * s') * P_j[i] at t**i to each kind, s and s' the signed
+binomials of its split and that split's mirror (none for the middle j).
+Only a_k's split 1, A_k(t) * A_2(-t) (mirror binomial 0), reads A_k, so
+``recursion_steps`` hands out A_k, then a_k once the caller has stored A_k
+with its base values: k/2 convolutions in all.  ``identities.eqn_check``
+takes A_k alone, fed the closed families, which ``closed_families``
+builds as those integer products for k = 2, 4, ... in turn.  Both routes
+hand out their families in one shape: a dict per kind, keyed by k, each
 cut at the requested degree or its genus, whichever is lower.
-``closed_D`` and ``closed_d`` unscale one coefficient of the closed ones,
-and ``table`` compares the two routes' integer families coefficient by
-coefficient.
+``closed_D`` and ``closed_d`` unscale one coefficient of a closed one, and
+``table`` compares the two routes' families coefficient by coefficient.
 
 Base values: D(1, 4) = 1/4, D(0, k) = d(0, k) = 1/2, and zero for i > g; the
 k = 2 conventions (1/2 for i = 0, else 0) give A_2 = a_2 = 1 and make the
@@ -128,17 +130,16 @@ class MemoTable:
         if held < cap:
             held, D, d = cap, {}, {}
         if max(D, default=0) < k_max:
-            D, d = dict(D), dict(d)
+            D, d, negated = dict(D), dict(d), {}
             for k in range(max(D, default=0) + 2, k_max + 1, 2):
                 degree = min(held, (k - 2) // 2)
-                for kind, family in (("D", D), ("d", d)):  # a_k reads A_k
-                    coeffs = [_scaled_base(kind, i, k)
-                              for i in range(degree + 1)]
-                    if None in coeffs:
-                        step = recursion_step(kind, k, D, d, degree)
-                        coeffs = [s if c is None else c
-                                  for c, s in zip(coeffs, step)]
-                    family[k] = coeffs
+                bases = [[_scaled_base(kind, i, k) for i in range(degree + 1)]
+                         for kind in ("D", "d")]
+                steps = recursion_steps(k, D, d, degree, negated)
+                for base, family in zip(bases, (D, d)):  # a_k reads A_k
+                    step = next(steps) if None in bases[0] + bases[1] else base
+                    family[k] = [s if c is None else c
+                                 for c, s in zip(base, step)]
             self._families = (held, D, d)
         return D, d
 
@@ -166,17 +167,20 @@ def closed_families(degree: int, k_max: int) -> tuple[dict, dict]:
     two dicts keyed by k, the family at k holding its coefficients
     0..min(degree, g).  They are prod(1 + (2n-1)t) for D and prod(1 + 2nt)
     for d over n in 1..g, so the coefficient of t**i is 2**(i+1) times
-    D(i, k) or d(i, k).  One incremental product: the families at k are
-    those at k - 2 times 1 + (k-3)t and 1 + (k-2)t.
+    D(i, k) or d(i, k).  One incremental product per kind (``_closed_chain``).
     """
     _check_int("degree", degree, 0)
     _check_even_k(k_max, 2)
-    D, d = {2: [1]}, {2: [1]}
+    return _closed_chain("D", degree, k_max), _closed_chain("d", degree, k_max)
+
+
+def _closed_chain(kind: str, degree: int, k_max: int) -> dict:
+    # the one place that spells the closed factors 1 + (k-3)t and 1 + (k-2)t
+    family, shift = {2: [1]}, (3 if kind == "D" else 2)
     for k in range(4, k_max + 1, 2):
-        cut = min(degree, (k - 2) // 2)
-        D[k] = kernels.times_linear(D[k - 2], k - 3, cut)
-        d[k] = kernels.times_linear(d[k - 2], k - 2, cut)
-    return D, d
+        family[k] = kernels.times_linear(family[k - 2], k - shift,
+                                         min(degree, (k - 2) // 2))
+    return family
 
 
 # bounded: a long-lived process keeps at most 1024 values of each kind, far
@@ -198,8 +202,7 @@ def _closed_value(kind: str, i: int, k: int) -> Fraction:
     _check_int("lambda index i", i, 0)
     if i > (k - 2) // 2:  # e_i of g numbers; no degree-i family needed
         return ZERO
-    D, d = closed_families(i, k)
-    return _unscale((D if kind == "D" else d)[k][i], i)
+    return _unscale(_closed_chain(kind, i, k)[k][i], i)
 
 
 def base_value(key: HodgeValueKey) -> Optional[Fraction]:
@@ -218,35 +221,42 @@ def base_value(key: HodgeValueKey) -> Optional[Fraction]:
     return None
 
 
-def recursion_step(kind: str, k: int, D, d, degree: int) -> list:
-    """Coefficients 0..degree of the scaled family ``kind`` at k.
+def recursion_steps(k: int, D, d, degree: int, negated=None):
+    """Yield coefficients 0..degree of A_k, then of a_k, off shared products.
 
-    ``D`` and ``d`` map each even k' to the scaled family at k' (A_k' and
-    a_k' in the module docstring) as a list of int coefficients (or
-    Fraction ones, after an injected fault), possibly truncated; the step
-    reads d below k and D up to k (k itself only for kind 'd').  Split j and
-    its mirror (module docstring) share one truncated kernels.convolve,
-    P_j, whose coefficient i is scaled by s_j + (-1)**i * s_j'.
+    ``D`` and ``d`` map each even k' to its scaled family (ints, or Fractions
+    after an injected fault, possibly truncated).  a_k is computed only on
+    resumption and reads D[k], which the caller stores first.  ``negated``
+    keeps each w(-t) by j for a caller stepping many k on the same families.
     """
-    if kind not in ("D", "d"):
-        raise DomainError(f"kind must be 'D' or 'd', not {kind!r}")
     _check_even_k(k, 4)
     _check_int("degree", degree, 0)
-    top = k - 3 if kind == "D" else k - 2
-    pair = k - 2 if kind == "D" else k  # j + j'
+    negated = {} if negated is None else negated
+
+    def product(j):  # P_j(t) = v(t) * w(-t), A_k's split j
+        v, w = (d[k - 1 - j], d[j + 1]) if j % 2 else (D[k - j], D[j + 2])
+        if j not in negated:
+            negated[j] = [-c if ell % 2 else c for ell, c in enumerate(w)]
+        return kernels.convolve(negated[j], v, degree)  # w is shorter
+
+    products = [product(j) for j in range(1, k // 2)]
+    yield _pair_sum(products, k, 0, degree)
+    yield _pair_sum([product(0)] + products, k, 1, degree)
+
+
+def _pair_sum(products, k: int, shift: int, degree: int) -> list:
+    """Sum of s * P_j(t) + s' * P_j(-t) over the P_j, j from 1 - shift: s, s'
+    the signed C(k-3+shift, j+shift), C(k-3+shift, j-1) of A_k's (shift 0)
+    or a_k's (shift 1) split j + shift and its mirror, s' = 0 at the middle
+    (last) j and at j = 0 (mirror binomial C(k-2, k-1) = 0)."""
+    row = [comb(k - 3 + shift, m) for m in range(k // 2 + shift)]
     total = [0] * (degree + 1)
-    for j in range(1, min(top, pair // 2) + 1):
-        if kind == "D":
-            v, w = (d[k - 1 - j], d[j + 1]) if j % 2 else (D[k - j], D[j + 2])
-        else:
-            v, w = (D[k + 1 - j], D[j + 1]) if j % 2 else (d[k - j], d[j])
-        sign = 1 if j % 2 else -1
-        s, s_mirror = sign * comb(top, j), sign * comb(top, pair - j)
-        even, odd = (s + s_mirror, s - s_mirror) if 2 * j < pair else (s, s)
-        w_of_minus_t = [-c if ell % 2 else c
-                        for ell, c in enumerate(w[:degree + 1])]
-        product = kernels.convolve(w_of_minus_t, v, degree)  # w is shorter
-        for i, c in enumerate(product):
+    last = len(products) - shift
+    for j, P in enumerate(products, 1 - shift):
+        sign = 1 if (j + shift) % 2 else -1
+        s, s_mirror = sign * row[j + shift], sign * row[j - 1] * (0 < j < last)
+        even, odd = s + s_mirror, s - s_mirror
+        for i, c in enumerate(P):
             total[i] += (odd if i % 2 else even) * c
     return total
 

@@ -218,6 +218,14 @@ def test_table_bulk_csv_is_pinned():
         "a1f3125d75bd0def0ffc2bc3928e2a229b0d273ab1b668be539017e252d6b613")
 
 
+def test_table_to_k160_csv_is_pinned():
+    # the recursion step at degrees up to 79, binomials far above 2**53
+    code, out = run_cli("table", "--max-k", "160", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7af69e13913d4c012279501a92b653e5a5182c4b8b51f277fcdf5cea3ed883b6")
+
+
 def test_verify_runs_the_localization_suite_to_max_k():
     code, out = run_cli("verify", "--max-k", "24", "--max-g", "3")
     assert code == 0

@@ -296,7 +296,7 @@ def test_graph_sum_never_reads_the_recursion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the graph sum read the recursion")
 
-    for name in ("recursion_step", "MemoTable", "recursive_D", "recursive_d",
+    for name in ("recursion_steps", "MemoTable", "recursive_D", "recursive_d",
                  "base_value"):
         monkeypatch.setattr(values, name, refuse)
     assert all(p.is_zero() for p in all_integrals("A", 16))
@@ -438,19 +438,23 @@ def test_graph_sum_runs_one_convolution_per_mirror_pair(monkeypatch):
 
 @pytest.fixture
 def faulty_d8(monkeypatch):
-    """values.closed_families with 2**3 * d(2, 8) off by one."""
-    genuine = values.closed_families
+    """The closed d chain with 2**3 * d(2, 8) off by one.
 
-    def faulty(degree, k_max):
-        D, d = genuine(degree, k_max)
-        if k_max >= 8 and degree >= 2:
-            d[8] = d[8][:2] + [d[8][2] + 1] + d[8][3:]
-        return D, d
+    closed_families and closed_d both build from the one chain per kind, so
+    the graph sum and the vertex integrals both read the fault.
+    """
+    genuine = values._closed_chain
+
+    def faulty(kind, degree, k_max):
+        family = genuine(kind, degree, k_max)
+        if kind == "d" and k_max >= 8 and degree >= 2:
+            family[8] = family[8][:2] + [family[8][2] + 1] + family[8][3:]
+        return family
 
     # the closed values are cached; keep faulty ones out of other tests
     closed_D.cache_clear()
     closed_d.cache_clear()
-    monkeypatch.setattr(values, "closed_families", faulty)
+    monkeypatch.setattr(values, "_closed_chain", faulty)
     yield
     closed_D.cache_clear()
     closed_d.cache_clear()

@@ -1,11 +1,13 @@
 """Closed forms, recursions and the cross-checked table."""
 
+import ast
 import sys
 import threading
 import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -168,8 +170,8 @@ def test_non_integer_index_or_k_is_a_domain_error(call):
                  id="enumerate_family"),
     pytest.param(lambda: values.closed_families(True, 4),
                  id="closed_families"),
-    pytest.param(lambda: values.recursion_step(
-        "D", 6, *values.closed_families(2, 6), True), id="recursion_step"),
+    pytest.param(lambda: next(values.recursion_steps(
+        6, *values.closed_families(2, 6), True)), id="recursion_steps"),
     pytest.param(lambda: localization.vertex_integral(4, True, 1, 1),
                  id="vertex_integral-untwisted"),
     pytest.param(lambda: localization.vertex_integral(4, 0, True, 0),
@@ -331,7 +333,7 @@ def test_recursion_never_reads_the_closed_forms(monkeypatch):
     def refuse(*args):
         raise AssertionError("the recursion read the closed form")
 
-    for name in ("closed_families", "closed_D", "closed_d"):
+    for name in ("closed_families", "_closed_chain", "closed_D", "closed_d"):
         monkeypatch.setattr(values, name, refuse)
     assert recursive_d(2, 8, MemoTable()) == Fraction(11, 2)
     # e_3(1, 3, ..., 21) = 197835 by subset enumeration, frozen
@@ -373,21 +375,20 @@ def closed_families_with_fractions():
 ])
 @pytest.mark.parametrize("kind", ["D", "d"])
 def test_paired_step_equals_split_by_split_sum(families, faulty, kind):
+    # one call yields both kinds; this case checks the one named by kind
     D, d = families()
     for k in range(4, 61, 2):  # the step starts at k = 4
         expected = split_by_split_step(kind, k, D, d)
         for degree in range((k - 2) // 2 + 1):
-            step = values.recursion_step(kind, k, D, d, degree)
-            assert step == expected[:degree + 1], (kind, k, degree)
+            step = dict(zip("Dd", values.recursion_steps(k, D, d, degree)))
+            assert step[kind] == expected[:degree + 1], (kind, k, degree)
     # the fault reaches the step's output as a non-integer coefficient
-    step = values.recursion_step(kind, 12, D, d, 5)
+    step = dict(zip("Dd", values.recursion_steps(12, D, d, 5)))[kind]
     assert any(isinstance(c, Fraction) and c.denominator > 1
                for c in step) == faulty
 
 
-@pytest.mark.parametrize("kind, pairs", [("D", lambda k: (k - 2) // 2),
-                                         ("d", lambda k: k // 2)])
-def test_step_runs_one_convolution_per_mirror_pair(monkeypatch, kind, pairs):
+def counting_convolutions(monkeypatch):
     calls = []
 
     def counting(a, b, degree=None):
@@ -396,22 +397,105 @@ def test_step_runs_one_convolution_per_mirror_pair(monkeypatch, kind, pairs):
 
     genuine = kernels.convolve
     monkeypatch.setattr(kernels, "convolve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind, pairs", [("D", lambda k: (k - 2) // 2),
+                                         ("d", lambda k: k // 2)])
+def test_step_runs_one_convolution_per_mirror_pair(monkeypatch, kind, pairs):
+    # A_k alone takes (k-2)/2 products; a_k adds only its split 1, so both
+    # kinds together take k/2, where two separate steps took k - 1
+    calls = counting_convolutions(monkeypatch)
     D, d = values.closed_families(19, 40)
     for k in range(4, 41, 2):
         calls.clear()
-        values.recursion_step(kind, k, D, d, (k - 2) // 2)
+        steps = values.recursion_steps(k, D, d, (k - 2) // 2)
+        for _ in range("Dd".index(kind) + 1):  # A_k, then a_k for "d"
+            next(steps)
         assert len(calls) == pairs(k), (kind, k)
 
 
+def test_memo_build_runs_k_over_2_convolutions_per_k(monkeypatch):
+    calls = counting_convolutions(monkeypatch)
+    MemoTable().families(29, 60)
+    assert len(calls) == sum(k // 2 for k in range(4, 61, 2))
+
+
+def test_eqn_check_runs_one_convolution_per_mirror_pair(monkeypatch):
+    # eqn_check takes A_k only and never pays for a_k
+    calls = counting_convolutions(monkeypatch)
+    for g in range(2, 30):
+        calls.clear()
+        assert identities.eqn_check(g).passed
+        assert len(calls) == g, g  # (k - 2) / 2 at k = 2g + 2
+
+
 def test_step_rejects_bad_kind_k_and_degree():
-    # "x" gave the d step and an odd k a bare KeyError
+    # the per-kind call form (a kind before k) is refused, as are an odd,
+    # small or non-int k and a negative or non-int degree
     D, d = values.closed_families(3, 10)
-    assert values.recursion_step("d", 8, D, d, 3) == d[8]
-    for kind, k, degree in (("x", 8, 3), ("A", 8, 3), ("D", 7, 3),
-                            ("d", 9, 3), ("D", 2, 0), ("d", 8.0, 3),
-                            ("D", 8, -1), ("d", 8, 2.0)):
+    assert list(values.recursion_steps(8, D, d, 3)) == [D[8], d[8]]
+    for args in (("x", 8, D, d, 3), ("D", 8, D, d, 3), (7, D, d, 3),
+                 (9, D, d, 3), (2, D, d, 0), (8.0, D, d, 3), (8, D, d, -1),
+                 (8, D, d, 2.0), (True, D, d, 3)):
         with pytest.raises(DomainError):
-            values.recursion_step(kind, k, D, d, degree)
+            next(values.recursion_steps(*args))
+
+
+def split_by_split_build(cap, k_max):
+    """MemoTable's bottom-up build with the split-by-split step, A_k first."""
+    D, d = {}, {}
+    for k in range(2, k_max + 1, 2):
+        degree = min(cap, (k - 2) // 2)
+        for kind, family in (("D", D), ("d", d)):
+            base = [values._scaled_base(kind, i, k) for i in range(degree + 1)]
+            if None in base:
+                step = split_by_split_step(kind, k, D, d)
+                base = [s if c is None else c for c, s in zip(base, step)]
+            family[k] = base
+    return D, d
+
+
+def test_a_k_reads_the_stored_a_k_with_its_base_values(inject_base_value):
+    # D(2, 10) is a value the recursion computes; injected, A_10 carries it,
+    # and a_10's split 1, A_10(t) * A_2(-t), must carry it on into d(2, 10):
+    # a step that read its own A_10 instead would leave d_10 genuine
+    inject_base_value(HodgeValueKey("D", 2, 10), Fraction(7, 3))
+    D, d = MemoTable().families(4, 14)
+    assert (D, d) == split_by_split_build(4, 14)
+    closed_D, closed_d = values.closed_families(4, 14)
+    assert D[10][2] == 2 ** 3 * Fraction(7, 3) != closed_D[10][2]
+    wrong = [i for i in range(5) if d[10][i] != closed_d[10][i]]
+    assert wrong == [2]
+    assert D[12] != closed_D[12] and d[12] != closed_d[12]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, 5, 79])
+def test_recursion_equals_the_closed_families_to_k160(cap):
+    assert MemoTable().families(cap, 160) == values.closed_families(cap, 160)
+
+
+def test_one_function_runs_the_split_products():
+    # a second copy of the step would split the code eqn_check pins
+    def calls(node, name):
+        return any(isinstance(n, ast.Call)
+                   and getattr(n.func, "attr", getattr(n.func, "id", None))
+                   == name for n in ast.walk(node))
+
+    def functions(module):  # module functions and methods, not nested ones
+        tree = ast.parse(Path(module.__file__).read_text())
+        outer = [*tree.body, *(node for cls in tree.body
+                               if isinstance(cls, ast.ClassDef)
+                               for node in cls.body)]
+        return {node.name: node for node in outer
+                if isinstance(node, ast.FunctionDef)}
+
+    defs = functions(values)
+    convolving = [name for name, node in defs.items()
+                  if calls(node, "convolve")]
+    assert convolving == ["recursion_steps"]
+    assert calls(defs["families"], "recursion_steps")
+    assert calls(functions(identities)["eqn_check"], "recursion_steps")
 
 
 # ---------------------------------------------------------------------------
