@@ -456,7 +456,7 @@ def split_by_split_build(cap, k_max):
     return D, d
 
 
-def test_a_k_reads_the_stored_a_k_with_its_base_values(inject_base_value):
+def test_a_k_reads_A_k_as_stored_with_its_base_values(inject_base_value):
     # D(2, 10) is a value the recursion computes; injected, A_10 carries it,
     # and a_10's split 1, A_10(t) * A_2(-t), must carry it on into d(2, 10):
     # a step that read its own A_10 instead would leave d_10 genuine
