@@ -75,13 +75,10 @@ class DensePolynomial:
             summed[i] += c
         return DensePolynomial(summed)
 
-    def __neg__(self):
-        return DensePolynomial(-c for c in self._coeffs)
-
     def __sub__(self, other):
         if not isinstance(other, DensePolynomial):
             return NotImplemented
-        return self + (-other)
+        return self + DensePolynomial(-c for c in other._coeffs)
 
     def __mul__(self, other):
         if isinstance(other, DensePolynomial):
@@ -93,14 +90,6 @@ class DensePolynomial:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __call__(self, point: RationalLike) -> Rational:
-        """Evaluate at ``point`` (Horner)."""
-        x = _coerce(point)
-        acc = ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, DensePolynomial):

@@ -9,7 +9,6 @@ configuration; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import random
 import sys
 from fractions import Fraction
@@ -174,35 +173,24 @@ def _decimal_string(value: Fraction, digits: int) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
 
 
-def _table_records(max_k: int, decimal: Optional[int]):
-    records = []
-    for key, value in values.table(max_k):
-        record = {"kind": key.kind, "i": key.i, "k": key.k,
-                  "num": str(value.numerator), "den": str(value.denominator)}
+def _emit_table(max_k: int, fmt: str, decimal: Optional[int]) -> str:
+    columns = TABLE_COLUMNS + (("approx",) if decimal is not None else ())
+    rows = []
+    for (kind, i, k), value in values.table(max_k):
+        row = [kind, i, k, str(value.numerator), str(value.denominator)]
         if decimal is not None:
-            record["approx"] = _decimal_string(value, decimal)
-        records.append(record)
-    return records
-
-
-def _emit_table(records, fmt: str, decimal: Optional[int]) -> str:
-    columns = list(TABLE_COLUMNS) + (["approx"] if decimal is not None else [])
-    if fmt == "json":
+            row.append(_decimal_string(value, decimal))
+        rows.append(row)
+    if fmt == "json":  # i and k stay JSON numbers, the rest strings
         import json
-        return json.dumps(records, indent=2) + "\n"
+        return json.dumps([dict(zip(columns, row)) for row in rows],
+                          indent=2) + "\n"
     if fmt == "csv":
-        import csv
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for record in records:
-            writer.writerow([record[c] for c in columns])
-        return buffer.getvalue()
-    # plain text
-    header = " ".join(f"{c:>6}" for c in columns)
-    lines = [header]
-    for record in records:
-        lines.append(" ".join(f"{str(record[c]):>6}" for c in columns))
+        # unquoted: fields are D/d, ints and [-.0-9] strings, never , " or \n
+        lines = [",".join(map(str, row)) for row in [columns, *rows]]
+    else:  # plain text
+        lines = [" ".join(f"{field:>6}" for field in row)
+                 for row in [columns, *rows]]
     return "\n".join(lines) + "\n"
 
 
@@ -283,8 +271,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "table":
-            records = _table_records(args.max_k, args.decimal)
-            text = _emit_table(records, args.format, args.decimal)
+            text = _emit_table(args.max_k, args.format, args.decimal)
             if args.out:
                 try:
                     with open(args.out, "w", encoding="utf-8",

@@ -1,9 +1,9 @@
 """Integer polynomial arithmetic, plus two rational-pair adapters.
 
 A polynomial is a coefficient list indexed by degree.  ``convolve`` and
-``times_linear`` (a product with 1 + c*t) are the package's only multiply
-loops; callers pass plain ints, and a ``Fraction`` passes through by
-ordinary arithmetic.
+``times_linear`` (a product with 1 + c*t) are the package's only
+polynomial-product loops; callers pass plain ints, and a ``Fraction``
+passes through by ordinary arithmetic.
 
 ``poly_mul`` and ``linear_product`` exist only for the benchmark tracer,
 which wraps them and reads their arguments and results as canonical

@@ -205,18 +205,22 @@ def _closed_value(kind: str, i: int, k: int) -> Fraction:
     return _unscale(_closed_chain(kind, i, k)[k][i], i)
 
 
-def base_value(key: HodgeValueKey) -> Optional[Fraction]:
+def base_value(key) -> Optional[Fraction]:
     """The stored base value for ``key``, or None when the recursion is needed.
 
-    Covers: the vanishing i > g, the shared value D(0, k) = d(0, k) = 1/2,
-    D(1, 4) = 1/4, and the k = 2 boundary convention (1/2 for i = 0, else 0,
-    already subsumed by the first two rules).
+    ``key`` is a plain ``(kind, i, k)`` tuple, which equals the matching
+    ``HodgeValueKey``, so either gets the same answer; a replacement
+    receives the tuple.  Covers: the vanishing i > g, the shared value
+    D(0, k) = d(0, k) = 1/2, D(1, 4) = 1/4, and the k = 2 boundary
+    convention (1/2 for i = 0, else 0, already subsumed by the first two
+    rules).
     """
-    if key.i > key.genus:
+    kind, i, k = key
+    if i > (k - 2) // 2:
         return ZERO
-    if key.i == 0:
+    if i == 0:
         return HALF
-    if key.kind == "D" and key.i == 1 and key.k == 4:
+    if kind == "D" and i == 1 and k == 4:
         return QUARTER
     return None
 
@@ -262,7 +266,8 @@ def _pair_sum(products, k: int, shift: int, degree: int) -> list:
 
 
 def _scaled_base(kind: str, i: int, k: int):
-    value = base_value(HodgeValueKey(kind, i, k))
+    # a plain tuple: the build checked kind, i and k already
+    value = base_value((kind, i, k))
     if value is None:
         return None
     scaled = value * 2 ** (i + 1)
@@ -299,7 +304,7 @@ def table(max_k: int) -> list[tuple[HodgeValueKey, Fraction]]:
 
     The recursion builds the scaled integer families A_k and a_k once,
     bottom-up in k through max_k and to the top degree (max_k - 2) / 2, with
-    the one ``recursion_step`` per family.  For each k in ascending order, D
+    the split products ``recursion_steps`` shares between the families.  For each k in ascending order, D
     before d, each family is then compared coefficient by coefficient with
     the closed one at k off ``closed_families``, so the first mismatch is at
     the key where the routes first part; it raises VerificationError naming

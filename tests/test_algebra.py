@@ -95,13 +95,6 @@ def test_coefficients_must_be_rationals_not_bools_or_floats(coefficients):
         DensePolynomial(coefficients)
 
 
-def test_poly_evaluation():
-    p = DensePolynomial([1, 4, 3])
-    assert p(0) == 1
-    assert p(1) == 8
-    assert p(Fraction(-1, 3)) == 1 - Fraction(4, 3) + Fraction(1, 3)
-
-
 def test_poly_scalar_mul_and_sub():
     p = DensePolynomial([1, 2])
     assert 2 * p == DensePolynomial([2, 4])

@@ -56,6 +56,26 @@ def test_table_bytes_are_pinned(fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    pytest.param(("--max-k", "20"), "0198445d39f88112779b8b03a567aa74"
+                 "08434315d68cdd1ba8cd98512a75e3a2", id="text"),
+    pytest.param(("--max-k", "12", "--decimal", "3"), "0f7111f69df7029e"
+                 "4416d30bd7a921aca92f0ffbb54091a01f27ba5b39684748",
+                 id="text-decimal"),
+    pytest.param(("--max-k", "12", "--format", "csv", "--decimal", "3"),
+                 "84ad4a08bff85fc82e1890e50613c01da6cde4e9134a5f7a0b8ad419"
+                 "e21546c7", id="csv-decimal"),
+    pytest.param(("--max-k", "8", "--format", "json", "--decimal", "6"),
+                 "78388aab0c4522f3346842fcb41a5718d1aa1d757e08f939e819e779"
+                 "4668fb10", id="json-decimal"),
+])
+def test_table_layouts_are_pinned(args, digest):
+    # the text columns and the approx column in every format
+    code, out = run_cli("table", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_csv_contains_pinned_row():
     code, out = run_cli("table", "--max-k", "4", "--format", "csv")
     assert code == 0

@@ -311,11 +311,20 @@ def test_hat_transform_is_an_involution_at_matching_degree(coeffs):
     assert hat_transform(transformed, g) == p
 
 
+def evaluate(poly, x):
+    """``poly`` at ``x`` by Horner's rule; the package never evaluates one."""
+    value = 0
+    for c in reversed(poly.coefficients):
+        value = value * x + c
+    return value
+
+
 def test_hat_transform_matches_direct_substitution():
     p = DensePolynomial([2, 0, 5, 1])
     g = 3
     for x in (1, 2, Fraction(3, 2)):
-        assert hat_transform(p, g)(x) == x ** g * p(Fraction(1, x))
+        assert evaluate(hat_transform(p, g), x) == (
+            x ** g * evaluate(p, Fraction(1, x)))
 
 
 def test_hat_root_values_all_vanish():
@@ -331,7 +340,7 @@ def test_hat_of_P_poly_evaluates_to_zero_at_claimed_roots():
     for g in range(2, 9):
         hat = hat_transform(P_poly(g), g)
         for x in range(1, g + 2):
-            assert hat(x) == 0
+            assert evaluate(hat, x) == 0
 
 
 def test_degree_bound_of_P_poly():

@@ -58,6 +58,16 @@ def test_a_command_loads_only_the_modules_it_runs(code, expected):
     assert loaded_after(code) == expected
 
 
+def test_table_loads_no_csv_module():
+    # the rows are joined as they are: no field ever needs CSV quoting
+    out = run_child("from hyperhodge import cli\n"
+                    "assert cli.main(['table', '--max-k', '8', '--format', "
+                    "'csv']) == 0\n"
+                    "print('csv' in sys.modules)")
+    assert out.splitlines()[0] == "kind,i,k,num,den"
+    assert out.splitlines()[-1] == "False"
+
+
 def test_localization_sweep_loads_neither_symmetric_nor_dataclasses():
     loaded = loaded_after("from hyperhodge import cli\n"
                           "assert cli.main(['verify-localization', "

@@ -83,7 +83,7 @@ def test_signed_convolution_rejects_bad_index():
 
 @given(value_sets)
 def test_gen_product_constant_term_is_one(values):
-    assert gen_product(values)(0) == 1
+    assert gen_product(values).coefficient(0) == 1
 
 
 @given(value_sets)

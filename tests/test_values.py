@@ -129,6 +129,39 @@ def test_base_value_table():
     assert base_value(HodgeValueKey("D", 1, 6)) is None
 
 
+@pytest.mark.parametrize("kind", ["D", "d"])
+def test_base_value_answers_a_plain_tuple_as_its_key(kind):
+    # k = 2 and 4 hold every rule: i > g, i = 0, D(1, 4), and None
+    for k in range(2, 13, 2):
+        for i in range(8):
+            plain = base_value((kind, i, k))
+            assert plain == base_value(HodgeValueKey(kind, i, k)), (i, k)
+            assert type(plain) is type(base_value(HodgeValueKey(kind, i, k)))
+
+
+def test_memo_build_makes_no_value_keys(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"HodgeValueKey{args} built")
+
+    monkeypatch.setattr(values, "HodgeValueKey", refuse)
+    assert MemoTable().families(5, 40) == values.closed_families(5, 40)
+
+
+def test_memo_build_offers_plain_tuples_in_build_order(monkeypatch):
+    calls = []
+
+    def counting_base_value(key):
+        calls.append(key)
+        return base_value(key)
+
+    monkeypatch.setattr(values, "base_value", counting_base_value)
+    MemoTable().families(4, 30)
+    # every coefficient at each k, ascending, D's before d's
+    assert calls == [(kind, i, k) for k in range(2, 31, 2) for kind in "Dd"
+                     for i in range(min(4, (k - 2) // 2) + 1)]
+    assert {type(key) for key in calls} == {tuple}
+
+
 def test_key_validation():
     with pytest.raises(DomainError):
         HodgeValueKey("x", 0, 4)
