@@ -205,7 +205,7 @@ def _closed_value(kind: str, i: int, k: int) -> Fraction:
     return _unscale(_closed_chain(kind, i, k)[k][i], i)
 
 
-def base_value(key) -> Optional[Fraction]:
+def base_value(key: tuple[str, int, int]) -> Optional[Fraction]:
     """The stored base value for ``key``, or None when the recursion is needed.
 
     ``key`` is a plain ``(kind, i, k)`` tuple, which equals the matching
@@ -303,13 +303,13 @@ def table(max_k: int) -> list[tuple[HodgeValueKey, Fraction]]:
     """Every D and d value for 4 <= k <= max_k, cross-checked both routes.
 
     The recursion builds the scaled integer families A_k and a_k once,
-    bottom-up in k through max_k and to the top degree (max_k - 2) / 2, with
-    the split products ``recursion_steps`` shares between the families.  For each k in ascending order, D
-    before d, each family is then compared coefficient by coefficient with
-    the closed one at k off ``closed_families``, so the first mismatch is at
-    the key where the routes first part; it raises VerificationError naming
-    the key, the recursive value (computed) and the closed one (expected).
-    Rows come back in (kind, k, i) order.
+    bottom-up in k through max_k and to the top degree (max_k - 2) / 2, off
+    the split products ``recursion_steps`` shares between them.  For each k
+    in ascending order, D before d, each family is then compared coefficient
+    by coefficient with the closed one at k off ``closed_families``, so the
+    first mismatch is at the key where the routes first part; it raises
+    VerificationError naming the key, the recursive value (computed) and the
+    closed one (expected).  Rows come back in (kind, k, i) order.
     """
     _check_even_k(max_k, 4)
     top = (max_k - 2) // 2

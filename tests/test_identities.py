@@ -312,11 +312,8 @@ def test_hat_transform_is_an_involution_at_matching_degree(coeffs):
 
 
 def evaluate(poly, x):
-    """``poly`` at ``x`` by Horner's rule; the package never evaluates one."""
-    value = 0
-    for c in reversed(poly.coefficients):
-        value = value * x + c
-    return value
+    # by definition: the sum of c_n * x**n over the stored coefficients
+    return sum(c * x ** n for n, c in enumerate(poly.coefficients))
 
 
 def test_hat_transform_matches_direct_substitution():

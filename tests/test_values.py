@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, prod
 from pathlib import Path
 
@@ -129,14 +129,14 @@ def test_base_value_table():
     assert base_value(HodgeValueKey("D", 1, 6)) is None
 
 
-@pytest.mark.parametrize("kind", ["D", "d"])
-def test_base_value_answers_a_plain_tuple_as_its_key(kind):
-    # k = 2 and 4 hold every rule: i > g, i = 0, D(1, 4), and None
-    for k in range(2, 13, 2):
-        for i in range(8):
-            plain = base_value((kind, i, k))
-            assert plain == base_value(HodgeValueKey(kind, i, k)), (i, k)
-            assert type(plain) is type(base_value(HodgeValueKey(kind, i, k)))
+def test_base_value_answers_a_plain_tuple_as_its_key():
+    answers = set()
+    for kind, i, k in product("Dd", range(8), range(2, 13, 2)):
+        plain = base_value((kind, i, k))
+        assert plain == base_value(HodgeValueKey(kind, i, k)), (kind, i, k)
+        answers.add(plain)
+    # i > g, i = 0, D(1, 4), and the recursion's keys: every rule reached
+    assert answers == {0, HALF, Fraction(1, 4), None}
 
 
 def test_memo_build_makes_no_value_keys(monkeypatch):
