@@ -131,31 +131,19 @@ def run_identity_suite(max_g: int) -> SuiteOutcome:
 
 def run_cross_oracle_suite(max_k: int) -> SuiteOutcome:
     """Closed form against the recursion for every value up to max_k."""
-    def checks():  # lazy, so a values.table mismatch raises inside _run
-        for key, value in values.table(max_k):
-            yield IdentityReport("closed-vs-recursive",
-                                 tuple(zip(key._fields, key)), value, value)
-    return _run("closed-vs-recursive", checks())
+    return _run("closed-vs-recursive", values.recursion_checks(max_k))
 
 
 def run_localization_suite(max_k: int) -> SuiteOutcome:
     """The graph sum's D and d families against the closed ones, by key."""
     from . import localization
 
-    def checks():  # lazy, so a stray t-power raises inside _run
-        D, d = values.closed_families((max_k - 2) // 2, max_k)
-        kinds = (("D", "A", D), ("d", "B", d))  # table's order; D from k = 6
-        for k in range(4, max_k + 1, 2):
-            for kind, insertion, closed in kinds[1:] if k < 6 else kinds:
-                pairs = zip(localization.graph_family(insertion, k), closed[k])
-                for i, (computed, expected) in enumerate(pairs):
-                    if computed != expected:  # Fractions for the report
-                        computed = values._unscale(computed, i)
-                        expected = values._unscale(expected, i)
-                    yield IdentityReport("graph-vs-closed",
-                                         (("kind", kind), ("i", i), ("k", k)),
-                                         computed, expected)
-    return _run("localization", checks())
+    def graph(kind, k):  # called lazily, so a stray t-power raises inside _run
+        if kind == "D" and k < 6:
+            return []  # the graph sum gives D from k = 6
+        return localization.graph_family("A" if kind == "D" else "B", k)
+    return _run("localization",
+                values.route_checks("graph-vs-closed", graph, max_k))
 
 
 # ---------------------------------------------------------------------------

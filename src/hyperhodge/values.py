@@ -51,7 +51,7 @@ builds as those integer products for k = 2, 4, ... in turn.  Both routes
 hand out their families in one shape: a dict per kind, keyed by k, each
 cut at the requested degree or its genus, whichever is lower.
 ``closed_D`` and ``closed_d`` unscale one coefficient of a closed one, and
-``table`` compares the two routes' families coefficient by coefficient.
+``route_checks`` compares any route's families with the closed ones.
 
 Base values: D(1, 4) = 1/4, D(0, k) = d(0, k) = 1/2, and zero for i > g; the
 k = 2 conventions (1/2 for i = 0, else 0) give A_2 = a_2 = 1 and make the
@@ -299,32 +299,44 @@ def _recursive(key: HodgeValueKey, memo: Optional[MemoTable]) -> Fraction:
     return _unscale(family[key.k][key.i], key.i)
 
 
-def table(max_k: int) -> list[tuple[HodgeValueKey, Fraction]]:
-    """Every D and d value for 4 <= k <= max_k, cross-checked both routes.
+def route_checks(name: str, route, max_k: int):
+    """A passing IdentityReport (kind, i, k) per value a route gives to max_k.
 
-    The recursion builds the scaled integer families A_k and a_k once,
-    bottom-up in k through max_k and to the top degree (max_k - 2) / 2, off
-    the split products ``recursion_steps`` shares between them.  For each k
-    in ascending order, D before d, each family is then compared coefficient
-    by coefficient with the closed one at k off ``closed_families``, so the
-    first mismatch is at the key where the routes first part; it raises
-    VerificationError naming the key, the recursive value (computed) and the
-    closed one (expected).  Rows come back in (kind, k, i) order.
+    ``route(kind, k)`` is the route's scaled family at k, empty where it has
+    none; it is called when the walk reaches it, k ascending and D before
+    d, so a route that raises does so after the checks before it.
+    The first coefficient off the closed family at k raises
+    VerificationError with both values unscaled, the route's as computed.
     """
-    _check_even_k(max_k, 4)
-    top = (max_k - 2) // 2
-    kinds = ("D", "d")
-    closed = dict(zip(kinds, closed_families(top, max_k)))
-    recursive = dict(zip(kinds, MemoTable().families(top, max_k)))
+    closed = dict(zip("Dd", closed_families((max_k - 2) // 2, max_k)))
     for k in range(4, max_k + 1, 2):
-        for kind in kinds:
-            pairs = zip(closed[kind][k], recursive[kind][k])
-            for i, (expected, computed) in enumerate(pairs):
-                if expected != computed:
+        for kind in "Dd":
+            pairs = zip(route(kind, k), closed[kind][k])
+            for i, (computed, expected) in enumerate(pairs):
+                key = (("kind", kind), ("i", i), ("k", k))
+                value = _unscale(computed, i)
+                if computed != expected:
                     raise VerificationError(IdentityReport(
-                        "closed-vs-recursive",
-                        (("kind", kind), ("i", i), ("k", k)),
-                        _unscale(computed, i), _unscale(expected, i)))
-    return [(HodgeValueKey(kind, i, k), _unscale(c, i))
-            for kind in kinds for k in range(4, max_k + 1, 2)
-            for i, c in enumerate(closed[kind][k])]
+                        name, key, value, _unscale(expected, i)))
+                yield IdentityReport(name, key, value, value)
+
+
+def recursion_checks(max_k: int):
+    """``route_checks`` of the families the recursion builds through max_k."""
+    _check_even_k(max_k, 4)
+    families = dict(zip("Dd", MemoTable().families((max_k - 2) // 2, max_k)))
+    return route_checks("closed-vs-recursive",
+                        lambda kind, k: families[kind][k], max_k)
+
+
+def table(max_k: int) -> list[tuple[tuple[str, int, int], Fraction]]:
+    """Every D and d value for 4 <= k <= max_k, one per ``recursion_checks``.
+
+    Each row is the plain key (kind, i, k), equal to its ``HodgeValueKey``,
+    and the value, in (kind, k, i) order; a mismatch raises the walk's error.
+    """
+    rows = {"D": [], "d": []}
+    for report in recursion_checks(max_k):
+        (_, kind), (_, i), (_, k) = report.parameters
+        rows[kind].append(((kind, i, k), report.computed))
+    return rows["D"] + rows["d"]

@@ -1,5 +1,6 @@
 """Command-line contract: formats, exit codes, determinism."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -316,10 +317,10 @@ def test_failing_report_ends_verify_before_later_suites(monkeypatch):
     monkeypatch.setattr(identities, "Q_poly",
                         lambda g: t if g == 3 else real_q(g))
 
-    def table_must_not_run(max_k, memo=None):
-        raise AssertionError("values.table ran after a failed suite")
+    def checks_must_not_run(max_k):
+        raise AssertionError("closed-vs-recursive ran after a failed suite")
 
-    monkeypatch.setattr(values, "table", table_must_not_run)
+    monkeypatch.setattr(values, "recursion_checks", checks_must_not_run)
     code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
     assert code == 1
     failure = IdentityReport("Q(t) vanishing", (("g", 3),), t,
@@ -394,6 +395,46 @@ def test_fault_injected_base_value_fails_verify(inject_base_value):
     code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
     assert code == 1
     assert "D" in out and "1/5" in out and "1/4" in out
+
+
+def test_closed_vs_recursive_counts_the_checks_before_a_fault(
+        inject_base_value):
+    # d(1, 6) is computed by the recursion; D and d at k = 4 (2 + 2), D at
+    # k = 6 (3) and d(0, 6) pass before it
+    inject_base_value(HodgeValueKey("d", 1, 6), Fraction(7, 2))
+    code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
+    assert code == 1
+    failure = IdentityReport("closed-vs-recursive",
+                             (("kind", "d"), ("i", 1), ("k", 6)),
+                             Fraction(7, 2), Fraction(3, 2))
+    assert out == ("identities: 532 checks passed\n"
+                   "closed-vs-recursive: FAILED after 8 passing checks\n"
+                   + failure.describe() + "\n")
+
+
+def test_table_and_both_value_suites_go_through_the_one_walk(monkeypatch):
+    walked = []
+    genuine = values.route_checks
+
+    def spy(name, route, max_k):
+        walked.append((name, max_k))
+        return genuine(name, route, max_k)
+
+    monkeypatch.setattr(values, "route_checks", spy)
+    rows = values.table(8)
+    # one real comparison per table value; the graph sum has no D at k = 4
+    assert cli.run_cross_oracle_suite(8).checks == len(rows) == 18
+    assert cli.run_localization_suite(8).checks == len(rows) - 2
+    assert walked == [("closed-vs-recursive", 8)] * 2 + [("graph-vs-closed", 8)]
+
+
+def test_cli_reads_no_private_name_of_values():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and getattr(node.value, "id", None) == "values"
+               and node.attr.startswith("_")]
+    assert private == []
 
 
 def test_fault_injected_base_value_fails_table(inject_base_value, capsys):

@@ -537,7 +537,7 @@ def test_one_function_runs_the_split_products():
 
 def test_table_k4():
     rows = table(4)
-    assert [(r[0].kind, r[0].i, r[0].k, r[1]) for r in rows] == [
+    assert [(*key, value) for key, value in rows] == [
         ("D", 0, 4, HALF),
         ("D", 1, 4, Fraction(1, 4)),
         ("d", 0, 4, HALF),
@@ -558,8 +558,20 @@ def test_table_row_count(max_k):
 
 def test_table_is_sorted_by_kind_k_i():
     rows = table(10)
-    keys = [(r[0].kind, r[0].k, r[0].i) for r in rows]
+    keys = [(kind, k, i) for (kind, i, k), _ in rows]
     assert keys == sorted(keys)
+
+
+def test_table_makes_no_value_keys(monkeypatch):
+    # a row's plain (kind, i, k) key equals the HodgeValueKey it stands for
+    def refuse(*args):
+        raise AssertionError(f"HodgeValueKey{args} built")
+
+    expected = table(40)
+    monkeypatch.setattr(values, "HodgeValueKey", refuse)
+    rows = table(40)
+    assert rows == expected
+    assert len(rows) == sum(range(4, 41, 2))
 
 
 def test_table_rejects_bad_bounds():
