@@ -1,7 +1,7 @@
 """Command-line front end: value tables and the verification suites.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
-(an unwritable ``--out`` path included).
+(an unwritable ``--out`` path, a closed stdout, ``--decimal`` over 4000).
 The data stream (table output) is byte-deterministic for a fixed
 configuration; diagnostics go to stderr.
 """
@@ -9,6 +9,7 @@ configuration; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from . import values
 from .errors import DomainError, IdentityReport, VerificationError
 
 TABLE_COLUMNS = ("kind", "i", "k", "num", "den")
+DECIMAL_MAX = 4000  # digits a row's --decimal column may hold
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +159,9 @@ def _decimal_string(value: Fraction, digits: int) -> str:
     if 2 * remainder >= value.denominator:
         quotient += 1
     sign = "-" if value.numerator < 0 else ""
-    text = str(quotient).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+    # apart, so that the N digits stay within str's 4,300-digit int limit
+    whole, fraction = divmod(quotient, 10 ** digits)
+    return f"{sign}{whole}.{fraction:0{digits}}" if digits else f"{sign}{whole}"
 
 
 def _emit_table(max_k: int, fmt: str, decimal: Optional[int]) -> str:
@@ -196,6 +199,14 @@ def _positive(text: str) -> int:
                          "expected a positive integer")
 
 
+def _digits(text: str) -> int:
+    value = _positive(text)
+    if value > DECIMAL_MAX:
+        raise argparse.ArgumentTypeError(
+            f"--decimal must be at most {DECIMAL_MAX}, got {text}")
+    return value
+
+
 def _int_argument(text: str, valid, requirement: str) -> int:
     # argparse names the type function in its message for a ValueError, so
     # a non-integer gets the same ArgumentTypeError as an integer out of range
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
     table.add_argument("--out", default=None, help="write to this path")
-    table.add_argument("--decimal", type=_positive, default=None, metavar="N",
+    table.add_argument("--decimal", type=_digits, default=None, metavar="N",
                        help="add an approximate decimal column with N digits")
 
     verify = sub.add_parser("verify", help="run every verification suite")
@@ -258,36 +269,44 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "table":
-            text = _emit_table(args.max_k, args.format, args.decimal)
-            if args.out:
-                try:
-                    with open(args.out, "w", encoding="utf-8",
-                              newline="") as fh:
-                        fh.write(text)
-                except OSError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-            else:
-                sys.stdout.write(text)
-            return 0
-
-        if args.command == "verify":
-            return _report_outcomes(run(bound) for run, bound in (
-                (run_identity_suite, args.max_g),
-                (run_cross_oracle_suite, args.max_k),
-                (run_localization_suite, args.max_k)))
-        if args.command == "verify-localization":
-            return _report_outcomes([run_localization_suite(args.max_k)])
-        if args.command == "verify-identities":
-            return _report_outcomes([run_identity_suite(args.max_g)])
+        status = _command(args)
+        sys.stdout.flush()  # a closed stdout raises here at the latest
+        return status
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # stdout closed or unwritable
+        print(f"error: {exc}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit: let that succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
+
+def _command(args) -> int:
+    if args.command == "table":
+        text = _emit_table(args.max_k, args.format, args.decimal)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+        else:
+            sys.stdout.write(text)
+        return 0
+    if args.command == "verify":
+        return _report_outcomes(run(bound) for run, bound in (
+            (run_identity_suite, args.max_g),
+            (run_cross_oracle_suite, args.max_k),
+            (run_localization_suite, args.max_k)))
+    if args.command == "verify-localization":
+        return _report_outcomes([run_localization_suite(args.max_k)])
+    if args.command == "verify-identities":
+        return _report_outcomes([run_identity_suite(args.max_g)])
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

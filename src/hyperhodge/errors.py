@@ -14,7 +14,7 @@ class IdentityReport(namedtuple("IdentityReport",
     """Outcome of one check; passes iff computed == expected exactly.
 
     ``parameters`` is a tuple of (name, value) pairs; ``describe`` prints a
-    tuple value element by element with ``str``, as it prints the values.
+    tuple or list, parameter or value, element by element with ``str``.
     """
 
     __slots__ = ()
@@ -27,13 +27,14 @@ class IdentityReport(namedtuple("IdentityReport",
         params = ", ".join(f"{k}={_text(v)}" for k, v in self.parameters)
         status = "pass" if self.passed else "FAIL"
         return (f"identity {self.name} [{params}]: {status}\n"
-                f"  computed: {self.computed}\n"
-                f"  expected: {self.expected}")
+                f"  computed: {_text(self.computed)}\n"
+                f"  expected: {_text(self.expected)}")
 
 
 def _text(value) -> str:
-    if isinstance(value, tuple):  # (1/3, -2), not (Fraction(1, 3), ...)
-        return "(" + ", ".join(map(str, value)) + ")"
+    if isinstance(value, (tuple, list)):  # [1/3, 0], not [Fraction(1, 3), ..]
+        text = ", ".join(map(str, value))
+        return f"[{text}]" if isinstance(value, list) else f"({text})"
     return str(value)
 
 

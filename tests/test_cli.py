@@ -35,11 +35,11 @@ def run_cli(*args):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_subprocess(*args):
+def run_subprocess(*args, stdout=subprocess.PIPE):
     # the child imports the package from this checkout, installed or not
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "hyperhodge", *args],
-                          capture_output=True, text=True,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
                           env={**os.environ, "PYTHONPATH": path})
 
 
@@ -118,6 +118,46 @@ def test_table_decimal_column():
     by_key = {(r["kind"], r["i"]): r["approx"] for r in rows}
     assert by_key[("D", "1")] == "0.250"
     assert by_key[("d", "0")] == "0.500"
+
+
+def test_decimal_above_its_maximum_is_usage_error():
+    done = run_subprocess("table", "--max-k", "4",
+                          "--decimal", str(cli.DECIMAL_MAX + 1))
+    assert done.returncode == 2
+    assert done.stderr.rstrip().endswith(
+        "argument --decimal: --decimal must be at most 4000, got 4001")
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert run_subprocess("table", "--max-k", "4",
+                          "--decimal", "4301").returncode == 2
+
+
+def test_decimal_maximum_gives_that_many_digits():
+    code, out = run_cli("table", "--max-k", "4", "--format", "csv",
+                        "--decimal", "4000")
+    assert code == 0
+    approx = [r["approx"] for r in csv.DictReader(io.StringIO(out))]
+    assert approx[1] == "0.25" + "0" * 3998  # D(1, 4)
+    assert all(len(a.split(".")[1]) == 4000 for a in approx)
+    # a long whole part does not push the digits past str's int limit
+    big = Fraction(10 ** 500 + 1, 3)
+    assert cli._decimal_string(big, 4000) == (
+        "3" * 500 + "." + "6" * 3999 + "7")
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--max-k", "8", "--max-g", "3"),
+    ("table", "--max-k", "8"),
+], ids=["verify", "table"])
+def test_closed_stdout_is_usage_error(args):
+    read, write = os.pipe()
+    os.close(read)  # closed before the child writes
+    try:
+        done = run_subprocess(*args, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 def test_table_out_file(tmp_path):
@@ -425,7 +465,8 @@ def test_table_and_both_value_suites_go_through_the_one_walk(monkeypatch):
     # one real comparison per table value; the graph sum has no D at k = 4
     assert cli.run_cross_oracle_suite(8).checks == len(rows) == 18
     assert cli.run_localization_suite(8).checks == len(rows) - 2
-    assert walked == [("closed-vs-recursive", 8)] * 2 + [("graph-vs-closed", 8)]
+    assert walked == [("closed-vs-recursive", 8), ("closed-vs-recursive", 8),
+                      ("graph-vs-closed", 8)]
 
 
 def test_cli_reads_no_private_name_of_values():

@@ -145,6 +145,16 @@ def test_verification_error_survives_a_pickle_round_trip():
     assert str(copy) == report.describe()
 
 
+def test_describe_prints_list_values_element_by_element():
+    report = IdentityReport("hat-transform roots",
+                            (("g", 2), ("points", "1..3")),
+                            [Fraction(1, 3), Fraction(0)], [Fraction(0)] * 2)
+    assert report.describe() == (
+        "identity hat-transform roots [g=2, points=1..3]: FAIL\n"
+        "  computed: [1/3, 0]\n"
+        "  expected: [0, 0]")
+
+
 def test_injected_base_value_failure_text_is_pinned(inject_base_value,
                                                      capsys):
     inject_base_value(HodgeValueKey("D", 1, 4), Fraction(1, 5))
