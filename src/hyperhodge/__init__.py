@@ -32,8 +32,7 @@ _SUBMODULES = {name: module for module, names in {
                     "enumerate_family graph_contribution localization_D "
                     "localization_d vertex_integral vertex_moduli_of",
     "symmetric": "elementary gen_product signed_convolution",
-    "values": "HodgeValueKey MemoTable base_value closed_D closed_d "
-              "recursive_D recursive_d table",
+    "values": "base_value closed_D closed_d recursive_D recursive_d table",
 }.items() for name in names.split()}
 
 __all__ = sorted([*_SUBMODULES, "KERNEL_BACKEND"])

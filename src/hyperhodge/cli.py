@@ -264,12 +264,12 @@ def _report_outcomes(outcomes) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse printed its own message
-        return int(exc.code or 0)
-
-    try:
-        status = _command(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse printed help or a usage error
+            status = int(exc.code or 0)
+        else:
+            status = _command(args)
         sys.stdout.flush()  # a closed stdout raises here at the latest
         return status
     except DomainError as exc:

@@ -10,7 +10,8 @@ which wraps them and reads their arguments and results as canonical
 ``(num, den)`` pairs (``den > 0``, ``gcd(|num|, den) == 1``, zero is
 ``(0, 1)``).  They take pairs in as ``Fraction``s, run the product through
 the two loops above and hand pairs back.  No module of the package calls
-them: everything above this one works on ``Fraction``s.
+them: ``values``, ``identities`` and ``localization`` pass the two loops
+plain ints, and only ``algebra`` and ``symmetric`` pass ``Fraction``s.
 """
 
 from __future__ import annotations

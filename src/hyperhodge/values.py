@@ -55,19 +55,18 @@ cut at the requested degree or its genus, whichever is lower.
 
 Base values: D(1, 4) = 1/4, D(0, k) = d(0, k) = 1/2, and zero for i > g; the
 k = 2 conventions (1/2 for i = 0, else 0) give A_2 = a_2 = 1 and make the
-recursions' extreme summands match the degenerate graphs they encode.  The
-families are built bottom-up in k, A_k before a_k (which reads it), and
-truncated at the highest degree the caller asks for; ``MemoTable`` holds
-them and nothing else.  Each coefficient is first offered to
-``base_value`` (a module global, which tests replace to inject a fault);
-the recursion fills in only the rest.  Scaled base values are stored as
-ints, so the families are plain ints.  The recursion never reads the
-closed forms.
+recursions' extreme summands match the degenerate graphs they encode.
+``recursive_families`` builds the families bottom-up in k, A_k before a_k
+(which reads it), truncated at the highest degree the caller asks for, and
+keeps nothing between calls.  Each coefficient is first offered to
+``base_value`` (a module global, which tests replace to inject a fault) as
+a plain (kind, i, k) tuple; the recursion fills in only the rest.  Scaled
+base values are stored as ints, so the families are plain ints.  The
+recursion never reads the closed forms.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -79,69 +78,6 @@ from .errors import DomainError, IdentityReport, VerificationError
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
-
-
-class HodgeValueKey(namedtuple("HodgeValueKey", "kind i k")):
-    """Index of one integral: kind 'D' or 'd', lambda index i, k points."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, i: int, k: int):
-        if kind not in ("D", "d"):
-            raise DomainError(f"kind must be 'D' or 'd', not {kind!r}")
-        _check_int("lambda index i", i, 0)
-        _check_even_k(k, 2)
-        return super().__new__(cls, kind, i, k)
-
-    @classmethod
-    def _make(cls, fields):  # _replace builds through here: check it too
-        return cls(*fields)
-
-    @property
-    def genus(self) -> int:
-        """g = (k - 2) / 2; values with i > g vanish."""
-        return (self.k - 2) // 2
-
-
-class MemoTable:
-    """The scaled D and d families the recursion built, shared by later queries.
-
-    Values are read off the families; the table holds nothing else.  The
-    families are replaced only by whole published copies, so threads may
-    share one table.
-    """
-
-    def __init__(self):
-        self._families: tuple[int, dict, dict] = (-1, {}, {})
-
-    def families(self, cap: int, k_max: int) -> tuple[dict, dict]:
-        """The scaled D and d families for every even k <= k_max.
-
-        The family at k holds its coefficients 0..min(cap, g), built
-        bottom-up in k; each is first offered to ``base_value`` and the
-        recursion step fills in the rest.  Held families are extended in k
-        when their degree suffices and rebuilt at cap when it does not.
-        Growth happens on copies that are published whole, so a concurrent
-        reader never sees a half-built k.
-        """
-        _check_int("cap", cap, 0)
-        _check_even_k(k_max, 2)
-        held, D, d = self._families
-        if held < cap:
-            held, D, d = cap, {}, {}
-        if max(D, default=0) < k_max:
-            D, d, negated = dict(D), dict(d), {}
-            for k in range(max(D, default=0) + 2, k_max + 1, 2):
-                degree = min(held, (k - 2) // 2)
-                bases = [[_scaled_base(kind, i, k) for i in range(degree + 1)]
-                         for kind in ("D", "d")]
-                steps = recursion_steps(k, D, d, degree, negated)
-                for base, family in zip(bases, (D, d)):  # a_k reads A_k
-                    step = next(steps) if None in bases[0] + bases[1] else base
-                    family[k] = [s if c is None else c
-                                 for c, s in zip(base, step)]
-            self._families = (held, D, d)
-        return D, d
 
 
 def _check_even_k(k: int, minimum: int) -> None:
@@ -163,7 +99,7 @@ def _check_int(name: str, value: int, minimum: int) -> None:
 def closed_families(degree: int, k_max: int) -> tuple[dict, dict]:
     """The scaled closed D and d families for every even k in 2..k_max.
 
-    The shape ``MemoTable.families(degree, k_max)`` gives for the recursion:
+    The shape ``recursive_families(degree, k_max)`` gives for the recursion:
     two dicts keyed by k, the family at k holding its coefficients
     0..min(degree, g).  They are prod(1 + (2n-1)t) for D and prod(1 + 2nt)
     for d over n in 1..g, so the coefficient of t**i is 2**(i+1) times
@@ -208,12 +144,11 @@ def _closed_value(kind: str, i: int, k: int) -> Fraction:
 def base_value(key: tuple[str, int, int]) -> Optional[Fraction]:
     """The stored base value for ``key``, or None when the recursion is needed.
 
-    ``key`` is a plain ``(kind, i, k)`` tuple, which equals the matching
-    ``HodgeValueKey``, so either gets the same answer; a replacement
-    receives the tuple.  Covers: the vanishing i > g, the shared value
-    D(0, k) = d(0, k) = 1/2, D(1, 4) = 1/4, and the k = 2 boundary
-    convention (1/2 for i = 0, else 0, already subsumed by the first two
-    rules).
+    ``key`` is a plain ``(kind, i, k)`` tuple whose i and k the caller has
+    checked; a replacement receives the same tuple.  Covers: the vanishing
+    i > g, the shared value D(0, k) = d(0, k) = 1/2, D(1, 4) = 1/4, and the
+    k = 2 boundary convention (1/2 for i = 0, else 0, already subsumed by
+    the first two rules).
     """
     kind, i, k = key
     if i > (k - 2) // 2:
@@ -278,25 +213,47 @@ def _unscale(coefficient, i: int) -> Fraction:
     return Fraction(coefficient, 2 ** (i + 1))
 
 
-def recursive_D(i: int, k: int, memo: Optional[MemoTable] = None) -> Fraction:
-    """D(i, k) via the recursion, through base values and the memo table."""
-    return _recursive(HodgeValueKey("D", i, k), memo)
+def recursive_families(degree: int, k_max: int) -> tuple[dict, dict]:
+    """The scaled D and d families the recursion builds for even k <= k_max.
+
+    The shape ``closed_families(degree, k_max)`` gives: the family at k
+    holds its coefficients 0..min(degree, g), built bottom-up in k.  Each
+    coefficient is first offered to ``base_value`` as a plain (kind, i, k)
+    tuple, k ascending and D's before d's, and the recursion step fills in
+    the rest.
+    """
+    _check_int("degree", degree, 0)
+    _check_even_k(k_max, 2)
+    D, d, negated = {}, {}, {}
+    for k in range(2, k_max + 1, 2):
+        top = min(degree, (k - 2) // 2)
+        bases = [[_scaled_base(kind, i, k) for i in range(top + 1)]
+                 for kind in ("D", "d")]
+        steps = recursion_steps(k, D, d, top, negated)
+        for base, family in zip(bases, (D, d)):  # a_k reads A_k
+            step = next(steps) if None in bases[0] + bases[1] else base
+            family[k] = [s if c is None else c for c, s in zip(base, step)]
+    return D, d
 
 
-def recursive_d(i: int, k: int, memo: Optional[MemoTable] = None) -> Fraction:
-    """d(i, k) via the recursion, through base values and the memo table."""
-    return _recursive(HodgeValueKey("d", i, k), memo)
+def recursive_D(i: int, k: int) -> Fraction:
+    """D(i, k) via the recursion: a base value, or the families built to k."""
+    return _recursive("D", i, k)
 
 
-def _recursive(key: HodgeValueKey, memo: Optional[MemoTable]) -> Fraction:
-    base = base_value(key)
+def recursive_d(i: int, k: int) -> Fraction:
+    """d(i, k) via the recursion: a base value, or the families built to k."""
+    return _recursive("d", i, k)
+
+
+def _recursive(kind: str, i: int, k: int) -> Fraction:
+    _check_int("lambda index i", i, 0)
+    _check_even_k(k, 2)
+    base = base_value((kind, i, k))
     if base is not None:
         return base
-    if memo is None:
-        memo = MemoTable()
-    D, d = memo.families(key.i, key.k)
-    family = D if key.kind == "D" else d
-    return _unscale(family[key.k][key.i], key.i)
+    D, d = recursive_families(i, k)
+    return _unscale((D if kind == "D" else d)[k][i], i)
 
 
 def route_checks(name: str, route, max_k: int):
@@ -324,7 +281,7 @@ def route_checks(name: str, route, max_k: int):
 def recursion_checks(max_k: int):
     """``route_checks`` of the families the recursion builds through max_k."""
     _check_even_k(max_k, 4)
-    families = dict(zip("Dd", MemoTable().families((max_k - 2) // 2, max_k)))
+    families = dict(zip("Dd", recursive_families((max_k - 2) // 2, max_k)))
     return route_checks("closed-vs-recursive",
                         lambda kind, k: families[kind][k], max_k)
 
@@ -332,8 +289,8 @@ def recursion_checks(max_k: int):
 def table(max_k: int) -> list[tuple[tuple[str, int, int], Fraction]]:
     """Every D and d value for 4 <= k <= max_k, one per ``recursion_checks``.
 
-    Each row is the plain key (kind, i, k), equal to its ``HodgeValueKey``,
-    and the value, in (kind, k, i) order; a mismatch raises the walk's error.
+    Each row is the plain key (kind, i, k) and the value, in (kind, k, i)
+    order; a mismatch raises the walk's error.
     """
     rows = {"D": [], "d": []}
     for report in recursion_checks(max_k):

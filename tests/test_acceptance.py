@@ -21,7 +21,6 @@ from hyperhodge import (DensePolynomial, P_poly, Q_poly,
                         closed_d, eqn_check, hat_root_values, hat_transform,
                         product_vanishing_sum, recursive_D, recursive_d)
 from hyperhodge import cli
-from hyperhodge.values import HodgeValueKey, MemoTable
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -53,12 +52,11 @@ def test_base_values():
 
 def test_main_theorem_cross_oracle():
     start = time.perf_counter()
-    memo = MemoTable()
     checked = 0
-    for k in range(4, 41, 2):
+    for k in range(4, 41, 2):  # each value queried cold
         for i in range((k - 2) // 2 + 1):
-            assert recursive_D(i, k, memo) == closed_D(i, k), (i, k)
-            assert recursive_d(i, k, memo) == closed_d(i, k), (i, k)
+            assert recursive_D(i, k) == closed_D(i, k), (i, k)
+            assert recursive_d(i, k) == closed_d(i, k), (i, k)
             checked += 2
     assert checked == 2 * sum(k // 2 for k in range(4, 41, 2))
     _announce(f"closed form == recursion for {checked} values up to k=40",
@@ -126,7 +124,7 @@ def test_cli_contract(inject_base_value):
     assert "all suites passed" in result.stdout
 
     # fault-injected base value exits 1
-    inject_base_value(HodgeValueKey("D", 1, 4), Fraction(1, 3))
+    inject_base_value(("D", 1, 4), Fraction(1, 3))
     assert cli.main(["verify", "--max-k", "8", "--max-g", "2"]) == 1
 
     # odd --max-k exits 2

@@ -9,15 +9,17 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperhodge import cli, identities, values
 from hyperhodge.algebra import DensePolynomial
 from hyperhodge.errors import IdentityReport, VerificationError
-from hyperhodge.values import HodgeValueKey
 
 
 def run_cli(*args):
@@ -147,8 +149,14 @@ def test_decimal_maximum_gives_that_many_digits():
 @pytest.mark.parametrize("args", [
     ("verify", "--max-k", "8", "--max-g", "3"),
     ("table", "--max-k", "8"),
-], ids=["verify", "table"])
-def test_closed_stdout_is_usage_error(args):
+    ("--help",),
+    ("table", "--help"),
+], ids=["verify", "table", "help", "table-help"])
+def test_closed_stdout_is_usage_error(monkeypatch, args):
+    # buffered, as by default: argparse prints the help into stdout's buffer
+    # and exits, and only the flush after it meets the closed pipe (written
+    # unbuffered, the help fails at once and argparse swallows the error)
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     read, write = os.pipe()
     os.close(read)  # closed before the child writes
     try:
@@ -158,6 +166,7 @@ def test_closed_stdout_is_usage_error(args):
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_table_out_file(tmp_path):
@@ -431,7 +440,7 @@ def test_mid_batch_disagreement_follows_the_earlier_draws(monkeypatch):
 
 
 def test_fault_injected_base_value_fails_verify(inject_base_value):
-    inject_base_value(HodgeValueKey("D", 1, 4), Fraction(1, 5))
+    inject_base_value(("D", 1, 4), Fraction(1, 5))
     code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
     assert code == 1
     assert "D" in out and "1/5" in out and "1/4" in out
@@ -441,7 +450,7 @@ def test_closed_vs_recursive_counts_the_checks_before_a_fault(
         inject_base_value):
     # d(1, 6) is computed by the recursion; D and d at k = 4 (2 + 2), D at
     # k = 6 (3) and d(0, 6) pass before it
-    inject_base_value(HodgeValueKey("d", 1, 6), Fraction(7, 2))
+    inject_base_value(("d", 1, 6), Fraction(7, 2))
     code, out = run_cli("verify", "--max-k", "8", "--max-g", "3")
     assert code == 1
     failure = IdentityReport("closed-vs-recursive",
@@ -479,7 +488,7 @@ def test_cli_reads_no_private_name_of_values():
 
 
 def test_fault_injected_base_value_fails_table(inject_base_value, capsys):
-    inject_base_value(HodgeValueKey("d", 1, 6), Fraction(7, 2))
+    inject_base_value(("d", 1, 6), Fraction(7, 2))
     code, _ = run_cli("table", "--max-k", "8", "--format", "csv")
     assert code == 1
     assert capsys.readouterr().err == (
@@ -492,3 +501,56 @@ def test_fault_injected_base_value_fails_table(inject_base_value, capsys):
 def test_help_exits_zero():
     assert code_of("--help") == 0
     assert code_of("table", "--help") == 0
+
+
+OPTIONS = {"table": ("--max-k", "--format", "--out", "--decimal"),
+           "verify": ("--max-k", "--max-g"),
+           "verify-localization": ("--max-k",),
+           "verify-identities": ("--max-g",)}
+ANY_OPTION = ("-h", "--max-k", "--max-g", "--format", "--decimal")
+ANY_VALUE = st.one_of(
+    st.integers(-1, 10 ** 6).map(str),
+    st.sampled_from(["text", "csv", "json", "", "4.0", "1e3", " 8", "0x10",
+                     "--max-k"]),
+    st.text(max_size=6))
+# values that parse, with bounds small enough to run: --max-k <= 20 and
+# --max-g <= 8 take at most a few hundredths of a second in process
+VALID_VALUE = {"--max-k": st.integers(2, 10).map(lambda n: str(2 * n)),
+               "--max-g": st.integers(1, 8).map(str),
+               "--format": st.sampled_from(["text", "csv", "json"]),
+               "--decimal": st.integers(-1, 10 ** 6).map(str)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_argument_ends_in_exit_0_or_2(tmp_path_factory, data):
+    # each command with its own options, another command's or none, each
+    # value valid or arbitrary; small bounds are run in process, larger
+    # ones (the defaults among them) only parsed
+    out = tmp_path_factory.getbasetemp()
+    paths = [str(out / "table.txt"), str(out), str(out / "missing" / "t")]
+    command = data.draw(st.sampled_from([*OPTIONS, None]))
+    options = data.draw(st.lists(
+        st.sampled_from(OPTIONS.get(command, ANY_OPTION)), unique=True))
+    options += data.draw(st.lists(st.sampled_from(ANY_OPTION), max_size=1))
+    valid = data.draw(st.booleans())
+    argv = [command] if command else []
+    for option in options:
+        argv.append(option)
+        if option == "--out":  # a path under the test's tmp, never the cwd
+            argv.append(data.draw(st.sampled_from(paths)))
+        elif option != "-h":
+            argv.append(data.draw(VALID_VALUE[option] if valid
+                                  else ANY_VALUE))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            runs = (getattr(args, "max_k", 4) <= 20
+                    and getattr(args, "max_g", 1) <= 8)
+            code = cli.main(argv) if runs else 0
+    assert code in (0, 2), (argv, code, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

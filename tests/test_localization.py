@@ -296,8 +296,8 @@ def test_graph_sum_never_reads_the_recursion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the graph sum read the recursion")
 
-    for name in ("recursion_steps", "MemoTable", "recursive_D", "recursive_d",
-                 "base_value"):
+    for name in ("recursion_steps", "_pair_sum", "recursive_families",
+                 "recursive_D", "recursive_d", "base_value"):
         monkeypatch.setattr(values, name, refuse)
     assert all(p.is_zero() for p in all_integrals("A", 16))
     assert localization_d(2, 8) == Fraction(11, 2)

@@ -1,8 +1,6 @@
 """Closed forms, recursions and the cross-checked table."""
 
 import ast
-import sys
-import threading
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -15,8 +13,8 @@ from hypothesis import strategies as st
 
 from hyperhodge import identities, kernels, localization, symmetric, values
 from hyperhodge.errors import DomainError, VerificationError
-from hyperhodge.values import (HodgeValueKey, MemoTable, base_value, closed_D,
-                               closed_d, recursive_D, recursive_d, table)
+from hyperhodge.values import (base_value, closed_D, closed_d, recursive_D,
+                               recursive_d, recursive_families, table)
 
 HALF = Fraction(1, 2)
 
@@ -120,31 +118,25 @@ def test_denominator_shape():
 
 
 def test_base_value_table():
-    assert base_value(HodgeValueKey("D", 0, 2)) == HALF
-    assert base_value(HodgeValueKey("d", 0, 2)) == HALF
-    assert base_value(HodgeValueKey("D", 1, 4)) == Fraction(1, 4)
-    assert base_value(HodgeValueKey("d", 3, 6)) == 0  # i=3 > g=2
-    assert base_value(HodgeValueKey("D", 5, 2)) == 0
-    assert base_value(HodgeValueKey("d", 1, 4)) is None
-    assert base_value(HodgeValueKey("D", 1, 6)) is None
+    assert base_value(("D", 0, 2)) == HALF
+    assert base_value(("d", 0, 2)) == HALF
+    assert base_value(("D", 1, 4)) == Fraction(1, 4)
+    assert base_value(("d", 3, 6)) == 0  # i=3 > g=2
+    assert base_value(("D", 5, 2)) == 0
+    assert base_value(("d", 1, 4)) is None
+    assert base_value(("D", 1, 6)) is None
 
 
 def test_base_value_answers_a_plain_tuple_as_its_key():
     answers = set()
     for kind, i, k in product("Dd", range(8), range(2, 13, 2)):
         plain = base_value((kind, i, k))
-        assert plain == base_value(HodgeValueKey(kind, i, k)), (kind, i, k)
+        rule = (0 if i > (k - 2) // 2 else HALF if i == 0
+                else Fraction(1, 4) if (kind, i, k) == ("D", 1, 4) else None)
+        assert plain == rule, (kind, i, k)
         answers.add(plain)
     # i > g, i = 0, D(1, 4), and the recursion's keys: every rule reached
     assert answers == {0, HALF, Fraction(1, 4), None}
-
-
-def test_memo_build_makes_no_value_keys(monkeypatch):
-    def refuse(*args):
-        raise AssertionError(f"HodgeValueKey{args} built")
-
-    monkeypatch.setattr(values, "HodgeValueKey", refuse)
-    assert MemoTable().families(5, 40) == values.closed_families(5, 40)
 
 
 def test_memo_build_offers_plain_tuples_in_build_order(monkeypatch):
@@ -155,7 +147,7 @@ def test_memo_build_offers_plain_tuples_in_build_order(monkeypatch):
         return base_value(key)
 
     monkeypatch.setattr(values, "base_value", counting_base_value)
-    MemoTable().families(4, 30)
+    recursive_families(4, 30)
     # every coefficient at each k, ascending, D's before d's
     assert calls == [(kind, i, k) for k in range(2, 31, 2) for kind in "Dd"
                      for i in range(min(4, (k - 2) // 2) + 1)]
@@ -164,13 +156,11 @@ def test_memo_build_offers_plain_tuples_in_build_order(monkeypatch):
 
 def test_key_validation():
     with pytest.raises(DomainError):
-        HodgeValueKey("x", 0, 4)
+        recursive_D(-1, 4)
     with pytest.raises(DomainError):
-        HodgeValueKey("D", -1, 4)
+        recursive_D(0, 5)
     with pytest.raises(DomainError):
-        HodgeValueKey("D", 0, 5)
-    with pytest.raises(DomainError):
-        HodgeValueKey("D", 0, 0)
+        recursive_D(0, 0)
 
 
 @pytest.mark.parametrize("call", [
@@ -181,7 +171,6 @@ def test_key_validation():
     pytest.param(lambda: table(8.0), id="table"),
     pytest.param(lambda: localization.graph_family("A", 8.0),
                  id="graph_family"),
-    pytest.param(lambda: HodgeValueKey("d", 1, 6.0), id="key"),
     pytest.param(lambda: symmetric.gen_product([1, 3], 1.0),
                  id="gen_product-sign"),
     pytest.param(lambda: symmetric.gen_product([1, 3], -1.0),
@@ -195,7 +184,6 @@ def test_non_integer_index_or_k_is_a_domain_error(call):
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: HodgeValueKey("D", True, 4), id="key"),
     pytest.param(lambda: closed_D(True, 4), id="closed_D"),
     pytest.param(lambda: recursive_d(False, 4), id="recursive_d"),
     pytest.param(lambda: identities.Q_poly(True), id="Q_poly"),
@@ -244,15 +232,15 @@ def test_families_hold_plain_ints(monkeypatch):
     # a Fraction(1) base value would turn every product it meets into
     # Fraction arithmetic
     built = []
-    genuine = MemoTable.families
+    genuine = recursive_families
 
-    def spy(self, cap, k_max):
-        built.append(genuine(self, cap, k_max))
+    def spy(degree, k_max):
+        built.append(genuine(degree, k_max))
         return built[-1]
 
-    monkeypatch.setattr(MemoTable, "families", spy)
+    monkeypatch.setattr(values, "recursive_families", spy)
     table(40)
-    recursive_D(3, 60, MemoTable())
+    recursive_D(3, 60)
     assert len(built) == 2
     for D, d in built:
         for family in (*D.values(), *d.values()):
@@ -261,65 +249,9 @@ def test_families_hold_plain_ints(monkeypatch):
 
 @pytest.mark.parametrize("k", range(4, 25, 2))
 def test_cross_oracle_closed_equals_recursive(k):
-    memo = MemoTable()
     for i in range((k - 2) // 2 + 1):
-        assert recursive_D(i, k, memo) == closed_D(i, k)
-        assert recursive_d(i, k, memo) == closed_d(i, k)
-
-
-def test_memo_warm_equals_cold():
-    warm = MemoTable()
-    first = recursive_D(4, 16, warm)
-    assert recursive_D(4, 16, warm) == first
-    assert recursive_D(4, 16, MemoTable()) == first
-    assert recursive_D(4, 16) == first
-
-
-def test_warm_memo_answers_without_rebuilding(monkeypatch):
-    memo = MemoTable()
-    first = recursive_d(3, 30, memo)
-    calls = []
-
-    def counting_base_value(key):
-        calls.append(key)
-        return base_value(key)
-
-    monkeypatch.setattr(values, "base_value", counting_base_value)
-    assert recursive_d(3, 30, memo) == first  # the stored value
-    assert recursive_D(2, 24, memo) == closed_D(2, 24)  # the held families
-    # each query looks up only its own key's base value
-    assert calls == [HodgeValueKey("d", 3, 30), HodgeValueKey("D", 2, 24)]
-
-
-def test_memo_shared_between_threads():
-    memo = MemoTable()
-    queries = [(kind, i, k) for k in range(6, 41, 2)
-               for i in range(1, (k - 2) // 2 + 1) for kind in "Dd"]
-    failures = []
-
-    def worker(offset):
-        for kind, i, k in queries[offset:] + queries[:offset]:
-            recursive = recursive_D if kind == "D" else recursive_d
-            closed = closed_D if kind == "D" else closed_d
-            try:
-                if recursive(i, k, memo) != closed(i, k):
-                    failures.append((kind, i, k))
-            except Exception as exc:  # a thread's error would be lost
-                failures.append((kind, i, k, repr(exc)))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(7 * n,))
-                   for n in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
+        assert recursive_D(i, k) == closed_D(i, k)
+        assert recursive_d(i, k) == closed_d(i, k)
 
 
 def scratch_closed_family(kind, k, degree):
@@ -345,14 +277,13 @@ def test_closed_families_are_products_built_from_scratch(kind, degree):
 def test_closed_families_have_the_recursion_shape():
     for degree, k_max in ((0, 2), (1, 4), (3, 20), (12, 30)):
         closed = values.closed_families(degree, k_max)
-        recursive = MemoTable().families(degree, k_max)
+        recursive = recursive_families(degree, k_max)
         assert closed == recursive, (degree, k_max)
 
 
 @pytest.mark.parametrize("build", [
     pytest.param(values.closed_families, id="closed"),
-    pytest.param(lambda degree, k_max: MemoTable().families(degree, k_max),
-                 id="recursive"),
+    pytest.param(recursive_families, id="recursive"),
 ])
 @pytest.mark.parametrize("degree, k_max", [
     (-1, 8), (2, 7), (2, 0), (2, 8.0), (1.0, 8), (True, 8), (2, True)])
@@ -368,9 +299,9 @@ def test_recursion_never_reads_the_closed_forms(monkeypatch):
 
     for name in ("closed_families", "_closed_chain", "closed_D", "closed_d"):
         monkeypatch.setattr(values, name, refuse)
-    assert recursive_d(2, 8, MemoTable()) == Fraction(11, 2)
+    assert recursive_d(2, 8) == Fraction(11, 2)
     # e_3(1, 3, ..., 21) = 197835 by subset enumeration, frozen
-    assert recursive_D(3, 24, MemoTable()) == Fraction(197835, 16)
+    assert recursive_D(3, 24) == Fraction(197835, 16)
 
 
 def split_by_split_step(kind, k, D, d):
@@ -450,7 +381,7 @@ def test_step_runs_one_convolution_per_mirror_pair(monkeypatch, kind, pairs):
 
 def test_memo_build_runs_k_over_2_convolutions_per_k(monkeypatch):
     calls = counting_convolutions(monkeypatch)
-    MemoTable().families(29, 60)
+    recursive_families(29, 60)
     assert len(calls) == sum(k // 2 for k in range(4, 61, 2))
 
 
@@ -476,7 +407,7 @@ def test_step_rejects_bad_kind_k_and_degree():
 
 
 def split_by_split_build(cap, k_max):
-    """MemoTable's bottom-up build with the split-by-split step, A_k first."""
+    """recursive_families' build with the split-by-split step, A_k first."""
     D, d = {}, {}
     for k in range(2, k_max + 1, 2):
         degree = min(cap, (k - 2) // 2)
@@ -493,8 +424,8 @@ def test_a_k_reads_A_k_as_stored_with_its_base_values(inject_base_value):
     # D(2, 10) is a value the recursion computes; injected, A_10 carries it,
     # and a_10's split 1, A_10(t) * A_2(-t), must carry it on into d(2, 10):
     # a step that read its own A_10 instead would leave d_10 genuine
-    inject_base_value(HodgeValueKey("D", 2, 10), Fraction(7, 3))
-    D, d = MemoTable().families(4, 14)
+    inject_base_value(("D", 2, 10), Fraction(7, 3))
+    D, d = recursive_families(4, 14)
     assert (D, d) == split_by_split_build(4, 14)
     closed_D, closed_d = values.closed_families(4, 14)
     assert D[10][2] == 2 ** 3 * Fraction(7, 3) != closed_D[10][2]
@@ -505,7 +436,7 @@ def test_a_k_reads_A_k_as_stored_with_its_base_values(inject_base_value):
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, 5, 79])
 def test_recursion_equals_the_closed_families_to_k160(cap):
-    assert MemoTable().families(cap, 160) == values.closed_families(cap, 160)
+    assert recursive_families(cap, 160) == values.closed_families(cap, 160)
 
 
 def test_one_function_runs_the_split_products():
@@ -527,8 +458,21 @@ def test_one_function_runs_the_split_products():
     convolving = [name for name, node in defs.items()
                   if calls(node, "convolve")]
     assert convolving == ["recursion_steps"]
-    assert calls(defs["families"], "recursion_steps")
+    assert calls(defs["recursive_families"], "recursion_steps")
     assert calls(functions(identities)["eqn_check"], "recursion_steps")
+
+
+def test_values_defines_no_class():
+    # the recursion is a pure family builder: no table held between
+    # queries, no record per key, no function taking one
+    tree = ast.parse(Path(values.__file__).read_text())
+    classes = [node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    assert classes == []
+    memo = [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and "memo" in [arg.arg for arg in node.args.args]]
+    assert memo == []
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +491,7 @@ def test_table_k4():
 
 def test_table_contains_derived_value():
     rows = dict(table(6))
-    assert rows[HodgeValueKey("D", 1, 6)] == 1
+    assert rows[("D", 1, 6)] == 1
 
 
 @pytest.mark.parametrize("max_k", [4, 8, 14])
@@ -562,15 +506,10 @@ def test_table_is_sorted_by_kind_k_i():
     assert keys == sorted(keys)
 
 
-def test_table_makes_no_value_keys(monkeypatch):
-    # a row's plain (kind, i, k) key equals the HodgeValueKey it stands for
-    def refuse(*args):
-        raise AssertionError(f"HodgeValueKey{args} built")
-
-    expected = table(40)
-    monkeypatch.setattr(values, "HodgeValueKey", refuse)
+def test_table_makes_no_value_keys():
+    # a row's key is a plain (kind, i, k) tuple, no record
     rows = table(40)
-    assert rows == expected
+    assert {type(key) for key, _ in rows} == {tuple}
     assert len(rows) == sum(range(4, 41, 2))
 
 
@@ -583,11 +522,11 @@ def test_table_rejects_bad_bounds():
 
 @pytest.mark.parametrize("key, injected, expected", [
     # a base value the recursion never computes
-    pytest.param(HodgeValueKey("D", 1, 4), Fraction(1, 5), Fraction(1, 4),
+    pytest.param(("D", 1, 4), Fraction(1, 5), Fraction(1, 4),
                  id="D-1-4"),
     # a value the recursion computes, which later D values read: the
     # mismatch must be reported here, not at a D value downstream of it
-    pytest.param(HodgeValueKey("d", 1, 6), Fraction(7, 2), Fraction(3, 2),
+    pytest.param(("d", 1, 6), Fraction(7, 2), Fraction(3, 2),
                  id="d-1-6"),
 ])
 def test_fault_injection_is_detected(inject_base_value, key, injected,
@@ -596,8 +535,7 @@ def test_fault_injection_is_detected(inject_base_value, key, injected,
     with pytest.raises(VerificationError) as err:
         table(8)
     report = err.value.report
-    assert report.parameters == (("kind", key.kind), ("i", key.i),
-                                 ("k", key.k))
+    assert report.parameters == tuple(zip(("kind", "i", "k"), key))
     # computed: the recursive value; expected: the closed one
     assert (report.computed, report.expected) == (injected, expected)
 
