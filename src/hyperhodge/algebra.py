@@ -3,9 +3,9 @@
 The scalar is :class:`fractions.Fraction` (re-exported as ``Rational``), the
 one rational type above ``kernels``: it keeps the canonical form we rely on
 for equality testing — positive denominator, fully reduced, zero as 0/1.
-Only ``identities``, ``localization``, ``symmetric`` and the verification
-suites in ``cli`` import this module: ``values`` takes ``Fraction``
-directly, so ``table`` and point queries never compile it.
+Only ``identities``, ``localization`` and ``symmetric`` import this
+module: ``values`` and ``cli`` take ``Fraction`` directly, so ``table`` and
+point queries never compile it.
 
 ``DensePolynomial`` is a coefficient list over ``Rational`` (index = degree)
 for ordinary polynomials, whose degrees stay small here; it multiplies by
@@ -151,7 +151,7 @@ class LaurentPolynomial:
 
 def laurent_sum(terms: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
     """Exact sum with zero coefficients pruned; the empty sum is zero."""
-    return _laurent(_accumulate(
+    return LaurentPolynomial(_accumulate(
         item for part in terms for item in part._terms.items()))
 
 
@@ -165,13 +165,6 @@ def _accumulate(items: Iterable[tuple[int, Rational]]) -> dict[int, Rational]:
         else:
             total[exponent] = value
     return total
-
-
-def _laurent(terms: dict[int, Rational]) -> LaurentPolynomial:
-    # wraps a map already free of zero coefficients, skipping __init__
-    result = LaurentPolynomial.__new__(LaurentPolynomial)
-    result._terms = terms
-    return result
 
 
 def _render_terms(items) -> str:

@@ -1,4 +1,4 @@
-"""Command-line front end: value tables and the verification suites.
+"""Command-line front end: parse, run the value table or the suites, print.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
 (an unwritable ``--out`` path, a closed stdout, ``--decimal`` over 4000).
@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import values
-from .errors import DomainError, IdentityReport, VerificationError
+from .errors import DomainError, VerificationError
 
 TABLE_COLUMNS = ("kind", "i", "k", "num", "den")
 DECIMAL_MAX = 4000  # digits a row's --decimal column may hold
@@ -25,9 +24,9 @@ DECIMAL_MAX = 4000  # digits a row's --decimal column may hold
 # ---------------------------------------------------------------------------
 # verification suites
 #
-# Each suite imports the modules it runs when it runs, so a command loads
-# only what it needs: ``table`` never loads algebra, identities or
-# localization, and ``verify-localization`` never loads identities.
+# Each suite runs the checks its module defines, importing it when it runs:
+# ``table`` never loads algebra, identities or localization, and
+# ``verify-localization`` never loads identities.
 
 
 class SuiteOutcome:
@@ -54,77 +53,10 @@ def _run(name: str, reports) -> SuiteOutcome:
     return outcome
 
 
-def _identity_checks(max_g: int):
-    from . import identities
-    from .algebra import DensePolynomial
-    # documented boundary cases: the vanishing ranges are sharp
-    yield IdentityReport(
-        "alternating-power-sum boundary", (("m", 1), ("p", 1)),
-        identities.alternating_power_sum(1, 1), -1)
-    yield IdentityReport(
-        "P(t) boundary", (("g", 1),),
-        identities.P_poly(1), DensePolynomial([0, 1]))
-
-    for m in range(1, min(2 * max_g, 60) + 1):  # m = 0 has no p < m
-        row = identities.alternating_power_sums(m, m - 1)
-        for p in range(m):
-            yield IdentityReport(
-                "alternating-power-sum vanishing", (("m", m), ("p", p)),
-                row[p], 0)
-
-    # fixed seed, so the emitted report is deterministic; the draws are
-    # Fraction(rng.randint(-99, 99), rng.randint(1, 20)) in order (a test
-    # pins them), read from the 199 x 20 rationals built once
-    rng = random.Random(20220408)
-    rationals = [[Fraction(a, b) for b in range(1, 21)]
-                 for a in range(-99, 100)]
-    for n in range(1, min(max_g, 10) + 1):
-        for bound in (2 * n - 1, 2 * n):
-            if bound == 2 * n - 1 and n < 2:
-                continue  # sharp boundary: the 2n-1 variant needs n >= 2
-            draws = _seeded_draws(rng.getrandbits, rationals, n, 100)
-            for total in identities.product_vanishing_sums(draws, bound):
-                yield IdentityReport(
-                    "product vanishing", (("n", n), ("bound", bound)),
-                    total, 0)
-
-    zero = DensePolynomial()
-    for g in range(2, max_g + 1):
-        yield IdentityReport(
-            "P(t) vanishing", (("g", g),), identities.P_poly(g), zero)
-        yield identities.eqn_check(g)
-    for g in range(2, min(max_g, 20) + 1):
-        yield IdentityReport(
-            "hat-transform roots", (("g", g), ("points", f"1..{g + 1}")),
-            identities.hat_root_values(g), [Fraction(0)] * (g + 1))
-    for g in range(1, max_g + 1):
-        yield IdentityReport(
-            "Q(t) vanishing", (("g", g),), identities.Q_poly(g), zero)
-
-
-def _seeded_draws(getrandbits, rationals, n: int, count: int):
-    """``count`` draws of n entries rationals[a][b], a < 199 and b < 20.
-
-    Each index is drawn as ``random.randint`` draws one below 199 or 20:
-    the bit length of 199 (8) or 20 (5) in bits, drawn again while the
-    value is out of range.
-    """
-    for _ in range(count):
-        draw = []
-        for _ in range(n):
-            a = getrandbits(8)
-            while a >= 199:
-                a = getrandbits(8)
-            b = getrandbits(5)
-            while b >= 20:
-                b = getrandbits(5)
-            draw.append(rationals[a][b])
-        yield draw
-
-
 def run_identity_suite(max_g: int) -> SuiteOutcome:
     """Alternating sums, product vanishing, eqn, P/Q vanishing, hat roots."""
-    outcome = _run("identities", _identity_checks(max_g))
+    from . import identities
+    outcome = _run("identities", identities.identity_checks(max_g))
     if max_g < 2:
         outcome.notes.append(
             "P(t) vanishing: skipped for g=1 (out of theorem range)")
@@ -139,13 +71,7 @@ def run_cross_oracle_suite(max_k: int) -> SuiteOutcome:
 def run_localization_suite(max_k: int) -> SuiteOutcome:
     """The graph sum's D and d families against the closed ones, by key."""
     from . import localization
-
-    def graph(kind, k):  # called lazily, so a stray t-power raises inside _run
-        if kind == "D" and k < 6:
-            return []  # the graph sum gives D from k = 6
-        return localization.graph_family("A" if kind == "D" else "B", k)
-    return _run("localization",
-                values.route_checks("graph-vs-closed", graph, max_k))
+    return _run("localization", localization.graph_checks(max_k))
 
 
 # ---------------------------------------------------------------------------

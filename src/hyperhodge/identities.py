@@ -1,8 +1,8 @@
 """Alternating binomial identities behind the closed forms, checked exactly.
 
-Every check runs on plain ints and is computed term by term; only the
-results are handed back as ``Fraction`` or ``DensePolynomial``.  The chain
-of facts verified here, in the order the proof machinery uses them:
+Every check runs on plain ints and is computed term by term; only the results
+are handed back as ``Fraction`` or ``DensePolynomial``, in the reports of the
+suite ``identity_checks``.  The facts, in the order the proof uses them:
 
 * ``alternating_power_sum(m, p)``: sum((-1)**k * C(m, k) * k**p) vanishes in
   the classical range 0 <= p < m (finite differences of order m kill degree
@@ -38,6 +38,7 @@ of facts verified here, in the order the proof machinery uses them:
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
@@ -256,3 +257,70 @@ def hat_root_values(g: int) -> list[Rational]:
         ([Rational(x + 2 * g - 1 - 2 * (n - 1)) for n in range(1, g + 1)]
          for x in range(1, g + 2)),
         bound=2 * g - 1))
+
+
+def identity_checks(max_g: int):
+    """The identity suite through genus ``max_g``, one report at a time."""
+    # documented boundary cases: the vanishing ranges are sharp
+    yield IdentityReport(
+        "alternating-power-sum boundary", (("m", 1), ("p", 1)),
+        alternating_power_sum(1, 1), -1)
+    yield IdentityReport(
+        "P(t) boundary", (("g", 1),),
+        P_poly(1), DensePolynomial([0, 1]))
+
+    for m in range(1, min(2 * max_g, 60) + 1):  # m = 0 has no p < m
+        row = alternating_power_sums(m, m - 1)
+        for p in range(m):
+            yield IdentityReport(
+                "alternating-power-sum vanishing", (("m", m), ("p", p)),
+                row[p], 0)
+
+    # fixed seed, so the emitted report is deterministic; the draws are
+    # Fraction(rng.randint(-99, 99), rng.randint(1, 20)) in order (a test
+    # pins them), read from the 199 x 20 rationals built once
+    rng = random.Random(20220408)
+    rationals = [[Fraction(a, b) for b in range(1, 21)]
+                 for a in range(-99, 100)]
+    for n in range(1, min(max_g, 10) + 1):
+        for bound in (2 * n - 1, 2 * n):
+            if bound == 2 * n - 1 and n < 2:
+                continue  # sharp boundary: the 2n-1 variant needs n >= 2
+            draws = _seeded_draws(rng.getrandbits, rationals, n, 100)
+            for total in product_vanishing_sums(draws, bound):
+                yield IdentityReport(
+                    "product vanishing", (("n", n), ("bound", bound)),
+                    total, 0)
+
+    zero = DensePolynomial()
+    for g in range(2, max_g + 1):
+        yield IdentityReport(
+            "P(t) vanishing", (("g", g),), P_poly(g), zero)
+        yield eqn_check(g)
+    for g in range(2, min(max_g, 20) + 1):
+        yield IdentityReport(
+            "hat-transform roots", (("g", g), ("points", f"1..{g + 1}")),
+            hat_root_values(g), [Fraction(0)] * (g + 1))
+    for g in range(1, max_g + 1):
+        yield IdentityReport(
+            "Q(t) vanishing", (("g", g),), Q_poly(g), zero)
+
+
+def _seeded_draws(getrandbits, rationals, n: int, count: int):
+    """``count`` draws of n entries rationals[a][b], a < 199 and b < 20.
+
+    Each index is drawn as ``random.randint`` draws one below 199 or 20:
+    the bit length of 199 (8) or 20 (5) in bits, drawn again while the
+    value is out of range.
+    """
+    for _ in range(count):
+        draw = []
+        for _ in range(n):
+            a = getrandbits(8)
+            while a >= 199:
+                a = getrandbits(8)
+            b = getrandbits(5)
+            while b >= 20:
+                b = getrandbits(5)
+            draw.append(rationals[a][b])
+        yield draw

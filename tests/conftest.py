@@ -1,8 +1,27 @@
-"""Shared fixtures."""
+"""Shared fixtures and the environment of child interpreters."""
+
+import os
+from pathlib import Path
 
 import pytest
 
 from hyperhodge import values
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env() -> dict:
+    """This process's environment for a child that runs this checkout.
+
+    The child imports the package from this checkout, installed or not,
+    and gets no ``PYTHONUNBUFFERED``: its stdout is buffered, as a user's
+    is, whatever the host exports (unbuffered, a closed stdout fails at the
+    first write, not at the flush).
+    """
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 @pytest.fixture

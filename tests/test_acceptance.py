@@ -8,14 +8,13 @@ package has no tolerances.
 import csv
 import io
 import json
-import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
+from conftest import child_env
 from hyperhodge import (DensePolynomial, P_poly, Q_poly,
                         alternating_power_sum, auxiliary_integral, closed_D,
                         closed_d, eqn_check, hat_root_values, hat_transform,
@@ -23,15 +22,9 @@ from hyperhodge import (DensePolynomial, P_poly, Q_poly,
 from hyperhodge import cli
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
 def _run_cli(*args):
-    # a child interpreter importing the package from this checkout
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "hyperhodge", *args],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=child_env())
 
 
 def _announce(name, elapsed, budget):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
 from hyperhodge import cli, identities, values
 from hyperhodge.algebra import DensePolynomial
 from hyperhodge.errors import IdentityReport, VerificationError
@@ -34,15 +35,10 @@ def run_cli(*args):
     return code, buffer.getvalue()
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
 def run_subprocess(*args, stdout=subprocess.PIPE):
-    # the child imports the package from this checkout, installed or not
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "hyperhodge", *args],
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=child_env())
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +148,11 @@ def test_decimal_maximum_gives_that_many_digits():
     ("--help",),
     ("table", "--help"),
 ], ids=["verify", "table", "help", "table-help"])
-def test_closed_stdout_is_usage_error(monkeypatch, args):
-    # buffered, as by default: argparse prints the help into stdout's buffer
-    # and exits, and only the flush after it meets the closed pipe (written
-    # unbuffered, the help fails at once and argparse swallows the error)
-    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+def test_closed_stdout_is_usage_error(args):
+    # buffered, as by default (``child_env``): argparse prints the help into
+    # stdout's buffer and exits, and only the flush after it meets the closed
+    # pipe (written unbuffered, the help fails at once and argparse swallows
+    # the error)
     read, write = os.pipe()
     os.close(read)  # closed before the child writes
     try:
@@ -485,6 +481,24 @@ def test_cli_reads_no_private_name_of_values():
                and getattr(node.value, "id", None) == "values"
                and node.attr.startswith("_")]
     assert private == []
+
+
+def test_cli_defines_no_check():
+    # the suites' checks live with what they check; cli only counts reports
+    tree = ast.parse(Path(cli.__file__).read_text())
+    offences = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "IdentityReport"):
+            offences.append(f"cli.py:{node.lineno} builds an IdentityReport")
+        elif isinstance(node, (ast.Yield, ast.YieldFrom)):
+            offences.append(f"cli.py:{node.lineno} defines a generator")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else [node.module or ""])
+            if "random" in names:
+                offences.append(f"cli.py:{node.lineno} imports random")
+    assert not offences, offences
 
 
 def test_fault_injected_base_value_fails_table(inject_base_value, capsys):

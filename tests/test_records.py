@@ -81,7 +81,7 @@ def test_records_are_immutable(name):
 @pytest.mark.parametrize("kind, i, k", [
     ("D", -1, 4), ("D", 1.0, 4), ("D", 1, 3), ("D", 1, 0), ("d", 0, 4.0),
     ("d", "1", 4)])
-def test_hodge_value_key_refuses_bad_fields(kind, i, k):
+def test_point_query_refuses_bad_fields(kind, i, k):
     # a value's key is a plain (kind, i, k) tuple; its query checks i and k
     with pytest.raises(DomainError):
         (recursive_D if kind == "D" else recursive_d)(i, k)
